@@ -7,7 +7,7 @@ import (
 )
 
 // Differential fuzzing of the word-packed converters against the
-// retained bit-accurate reference implementations (reference.go),
+// retained bit-accurate reference implementations (reference_test.go),
 // extending internal/scanout's fuzz pattern: raw fuzz bytes are
 // interpreted as an operation program, both implementations execute it
 // in lockstep, and any observable divergence fails. Widths cover

@@ -17,7 +17,7 @@
 // in bitvec words, single-bit clocks are carry-propagating word shifts
 // (O(width/64) instead of O(width)) and full deliveries/drains are word
 // copies. The original bit-by-bit implementations are retained in
-// reference.go and pinned against these by differential fuzz tests.
+// reference_test.go and pinned against these by differential fuzz tests.
 package serial
 
 import (

@@ -22,24 +22,18 @@
 package main
 
 import (
-	"bufio"
 	"context"
-	"encoding/json"
 	"fmt"
 	"log"
-	"net"
-	"net/http"
 	"net/http/httptest"
 	"os"
-	"os/exec"
-	"path/filepath"
-	"strconv"
 	"strings"
 	"syscall"
 	"time"
 
 	"repro/internal/chaos"
 	"repro/memtest"
+	"repro/scripts/internal/smoke"
 	"repro/service"
 	"repro/service/client"
 )
@@ -69,34 +63,32 @@ func run() error {
 		return err
 	}
 	defer os.RemoveAll(tmp)
-	memtestd := filepath.Join(tmp, "memtestd")
-	if out, err := exec.Command("go", "build", "-o", memtestd, "./cmd/memtestd").CombinedOutput(); err != nil {
-		return fmt.Errorf("building memtestd: %v\n%s", err, out)
+	memtestd, err := smoke.Build(tmp, "memtestd")
+	if err != nil {
+		return err
 	}
-	coordBin := filepath.Join(tmp, "memtest-coord")
-	if out, err := exec.Command("go", "build", "-o", coordBin, "./cmd/memtest-coord").CombinedOutput(); err != nil {
-		return fmt.Errorf("building memtest-coord: %v\n%s", err, out)
+	coordBin, err := smoke.Build(tmp, "memtest-coord")
+	if err != nil {
+		return err
 	}
 
 	// Three real worker processes, each advertising one idle
 	// device-worker so the coordinator plans exactly three shards.
 	workerURLs := make([]string, 3)
 	for i := range workerURLs {
-		port, err := freePort()
+		addr, err := smoke.FreeAddr()
 		if err != nil {
 			return err
 		}
-		addr := fmt.Sprintf("127.0.0.1:%d", port)
 		workerURLs[i] = "http://" + addr
-		cmd := exec.Command(memtestd, "-addr", addr, "-workers", "1")
-		cmd.Stdout, cmd.Stderr = os.Stderr, os.Stderr
-		if err := cmd.Start(); err != nil {
+		cmd, err := smoke.Start(memtestd, "-addr", addr, "-workers", "1")
+		if err != nil {
 			return fmt.Errorf("starting worker %d: %w", i, err)
 		}
 		defer cmd.Process.Kill() //nolint:errcheck // reap on early exit
 	}
 	for i, u := range workerURLs {
-		if err := waitHealthy(u); err != nil {
+		if err := smoke.WaitHealthy(u); err != nil {
 			return fmt.Errorf("worker %d: %w", i, err)
 		}
 	}
@@ -123,13 +115,12 @@ func run() error {
 		proxies[i], proxyURLs[i] = p, ps.URL
 	}
 
-	port, err := freePort()
+	coordAddr, err := smoke.FreeAddr()
 	if err != nil {
 		return err
 	}
-	coordAddr := fmt.Sprintf("127.0.0.1:%d", port)
 	base := "http://" + coordAddr
-	coordCmd := exec.Command(coordBin,
+	coordCmd, err := smoke.Start(coordBin,
 		"-addr", coordAddr,
 		"-worker", strings.Join(proxyURLs, ","),
 		"-min-shard", "50",
@@ -138,15 +129,14 @@ func run() error {
 		"-quarantine-after", "2", "-rejoin-after", "2",
 		"-steal-threshold", "2", "-steal-interval", "100ms",
 	)
-	coordCmd.Stdout, coordCmd.Stderr = os.Stderr, os.Stderr
-	if err := coordCmd.Start(); err != nil {
+	if err != nil {
 		return fmt.Errorf("starting memtest-coord: %w", err)
 	}
 	defer func() {
 		coordCmd.Process.Signal(syscall.SIGTERM) //nolint:errcheck
 		coordCmd.Wait()                          //nolint:errcheck
 	}()
-	if err := waitHealthy(base); err != nil {
+	if err := smoke.WaitHealthy(base); err != nil {
 		return fmt.Errorf("coordinator: %w", err)
 	}
 
@@ -155,7 +145,7 @@ func run() error {
 		Delivery: "ordered",
 	}
 	log.Printf("chaossmoke: computing in-process reference stream")
-	want, err := referenceLines(req)
+	want, err := smoke.ReferenceLines(req)
 	if err != nil {
 		return err
 	}
@@ -177,7 +167,7 @@ func run() error {
 	if err := waitWorkerState(ctx, c, flapper, "quarantined", 30*time.Second); err != nil {
 		return err
 	}
-	if quar, err := scrapeMetric(base, "coord_worker_quarantined"); err != nil {
+	if quar, err := smoke.ScrapeMetric(base, "coord_worker_quarantined"); err != nil {
 		return err
 	} else if quar != 1 {
 		return fmt.Errorf("coord_worker_quarantined = %g during the outage, want 1", quar)
@@ -209,20 +199,9 @@ func run() error {
 	// The stalled shard can only finish via a steal, so a completed job
 	// is itself proof the steal machinery worked; give the whole circus
 	// a generous deadline.
-	deadline := time.Now().Add(180 * time.Second)
-	var done service.JobStatus
-	for {
-		done, err = c.Job(ctx, st.ID)
-		if err != nil {
-			return fmt.Errorf("polling job: %w", err)
-		}
-		if done.State.Terminal() {
-			break
-		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("job never finished through the chaos: %+v", done)
-		}
-		time.Sleep(50 * time.Millisecond)
+	done, err := smoke.WaitJob(ctx, c, st.ID, 180*time.Second)
+	if err != nil {
+		return fmt.Errorf("through the chaos: %w", err)
 	}
 	if done.State != service.StateDone || done.Completed != req.Devices {
 		return fmt.Errorf("job = %+v, want done with %d completed", done, req.Devices)
@@ -246,17 +225,12 @@ func run() error {
 
 	// Byte-identical through a stall, a steal, a probe outage and a
 	// pile of severed streams: the acceptance criterion.
-	got, err := rawLines(base + "/v1/jobs/" + st.ID + "/results")
+	got, err := smoke.RawLines(base + "/v1/jobs/" + st.ID + "/results")
 	if err != nil {
 		return err
 	}
-	if len(got) != len(want) {
-		return fmt.Errorf("stream has %d lines, reference %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			return fmt.Errorf("line %d differs from the reference:\nserver   : %s\nreference: %s", i, got[i], want[i])
-		}
+	if err := smoke.Compare(got, want); err != nil {
+		return err
 	}
 	log.Printf("chaossmoke: merged stream byte-identical to the in-process reference (%d lines)", len(got))
 
@@ -269,12 +243,12 @@ func run() error {
 
 	// Metrics corroborate the run, and the proxies prove the faults
 	// actually fired.
-	if steals, err := scrapeMetric(base, "coord_shard_steals_total"); err != nil {
+	if steals, err := smoke.ScrapeMetric(base, "coord_shard_steals_total"); err != nil {
 		return err
 	} else if int(steals) < 1 {
 		return fmt.Errorf("coord_shard_steals_total = %g, want >= 1", steals)
 	}
-	if merged, err := scrapeMetric(base, "coord_merged_lines_total"); err != nil {
+	if merged, err := smoke.ScrapeMetric(base, "coord_merged_lines_total"); err != nil {
 		return err
 	} else if int(merged) != req.Devices {
 		return fmt.Errorf("coord_merged_lines_total = %g, want %d", merged, req.Devices)
@@ -311,115 +285,5 @@ func waitWorkerState(ctx context.Context, c *client.Client, url, want string, pa
 			return fmt.Errorf("worker %s never reached state %q; fleet: %+v", url, want, ws)
 		}
 		time.Sleep(25 * time.Millisecond)
-	}
-}
-
-// referenceLines runs the request's session in-process and returns the
-// NDJSON lines a single fault-free node would stream.
-func referenceLines(req service.JobRequest) ([]string, error) {
-	s, err := memtest.New(req.Plan,
-		memtest.WithSeed(req.Seed), memtest.WithDRF(),
-		memtest.WithFleetDelivery(memtest.Ordered))
-	if err != nil {
-		return nil, err
-	}
-	var lines []string
-	for dr, err := range s.RunFleet(context.Background(), req.Devices) {
-		if err != nil {
-			return nil, err
-		}
-		data, err := json.Marshal(dr)
-		if err != nil {
-			return nil, err
-		}
-		lines = append(lines, string(data))
-	}
-	return lines, nil
-}
-
-func rawLines(url string) ([]string, error) {
-	resp, err := http.Get(url)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("GET %s: HTTP %d", url, resp.StatusCode)
-	}
-	var lines []string
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 64*1024), 16<<20)
-	for sc.Scan() {
-		if len(sc.Bytes()) > 0 {
-			lines = append(lines, sc.Text())
-		}
-	}
-	return lines, sc.Err()
-}
-
-// scrapeMetric fetches base+"/metrics" and sums every series of one
-// family (all label sets), erroring when the family is absent.
-func scrapeMetric(base, name string) (float64, error) {
-	resp, err := http.Get(base + "/metrics")
-	if err != nil {
-		return 0, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return 0, fmt.Errorf("GET /metrics: HTTP %d", resp.StatusCode)
-	}
-	sum, found := 0.0, false
-	sc := bufio.NewScanner(resp.Body)
-	for sc.Scan() {
-		line := sc.Text()
-		if !strings.HasPrefix(line, name) {
-			continue
-		}
-		rest := line[len(name):]
-		if !strings.HasPrefix(rest, " ") && !strings.HasPrefix(rest, "{") {
-			continue
-		}
-		fields := strings.Fields(line)
-		v, err := strconv.ParseFloat(fields[len(fields)-1], 64)
-		if err != nil {
-			return 0, fmt.Errorf("bad sample %q: %v", line, err)
-		}
-		sum += v
-		found = true
-	}
-	if err := sc.Err(); err != nil {
-		return 0, err
-	}
-	if !found {
-		return 0, fmt.Errorf("metric %s absent from %s/metrics", name, base)
-	}
-	return sum, nil
-}
-
-// freePort grabs an ephemeral port and releases it for the daemon.
-func freePort() (int, error) {
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return 0, err
-	}
-	defer l.Close()
-	return l.Addr().(*net.TCPAddr).Port, nil
-}
-
-// waitHealthy polls /v1/healthz until the daemon answers.
-func waitHealthy(base string) error {
-	deadline := time.Now().Add(15 * time.Second)
-	for {
-		resp, err := http.Get(base + "/v1/healthz")
-		if err == nil {
-			resp.Body.Close()
-			if resp.StatusCode == http.StatusOK {
-				return nil
-			}
-		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("%s never became healthy: %v", base, err)
-		}
-		time.Sleep(50 * time.Millisecond)
 	}
 }

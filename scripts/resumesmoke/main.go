@@ -24,22 +24,17 @@
 package main
 
 import (
-	"bufio"
 	"context"
-	"encoding/json"
 	"fmt"
 	"log"
-	"net"
-	"net/http"
 	"os"
 	"os/exec"
 	"path/filepath"
-	"strconv"
-	"strings"
 	"syscall"
 	"time"
 
 	"repro/memtest"
+	"repro/scripts/internal/smoke"
 	"repro/service"
 	"repro/service/client"
 )
@@ -69,25 +64,23 @@ func run() error {
 		return err
 	}
 	defer os.RemoveAll(tmp)
-	bin := filepath.Join(tmp, "memtestd")
-	if out, err := exec.Command("go", "build", "-o", bin, "./cmd/memtestd").CombinedOutput(); err != nil {
-		return fmt.Errorf("building memtestd: %v\n%s", err, out)
-	}
-	dataDir := filepath.Join(tmp, "data")
-
-	port, err := freePort()
+	bin, err := smoke.Build(tmp, "memtestd")
 	if err != nil {
 		return err
 	}
-	addr := fmt.Sprintf("127.0.0.1:%d", port)
+	dataDir := filepath.Join(tmp, "data")
+
+	addr, err := smoke.FreeAddr()
+	if err != nil {
+		return err
+	}
 	base := "http://" + addr
 	start := func() (*exec.Cmd, error) {
-		cmd := exec.Command(bin, "-addr", addr, "-data-dir", dataDir)
-		cmd.Stdout, cmd.Stderr = os.Stderr, os.Stderr
-		if err := cmd.Start(); err != nil {
+		cmd, err := smoke.Start(bin, "-addr", addr, "-data-dir", dataDir)
+		if err != nil {
 			return nil, err
 		}
-		return cmd, waitHealthy(base)
+		return cmd, smoke.WaitHealthy(base)
 	}
 
 	req := service.JobRequest{
@@ -96,7 +89,7 @@ func run() error {
 		Workers:  1, // serialize the fleet: the kill lands mid-job, not after it
 	}
 	log.Printf("resumesmoke: computing in-process reference stream")
-	want, err := referenceLines(req)
+	want, err := smoke.ReferenceLines(req)
 	if err != nil {
 		return err
 	}
@@ -162,7 +155,7 @@ func run() error {
 	}
 	// Mid-run scrape: the live daemon must already expose device
 	// throughput series.
-	if v, err := scrapeMetric(base, "devices_completed_total"); err != nil {
+	if v, err := smoke.ScrapeMetric(base, "devices_completed_total"); err != nil {
 		return fmt.Errorf("mid-run metrics: %w", err)
 	} else if v <= 0 {
 		return fmt.Errorf("mid-run devices_completed_total = %g, want > 0", v)
@@ -184,20 +177,9 @@ func run() error {
 	}()
 
 	// The resumed job must complete every device.
-	deadline = time.Now().Add(120 * time.Second)
-	var done service.JobStatus
-	for {
-		done, err = c.Job(ctx, st.ID)
-		if err != nil {
-			return fmt.Errorf("polling resumed job: %w", err)
-		}
-		if done.State.Terminal() {
-			break
-		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("resumed job never finished: %+v", done)
-		}
-		time.Sleep(25 * time.Millisecond)
+	done, err := smoke.WaitJob(ctx, c, st.ID, 120*time.Second)
+	if err != nil {
+		return err
 	}
 	if done.State != service.StateDone || !done.Resumed || done.Completed != req.Devices {
 		return fmt.Errorf("resumed job = %+v, want done+resumed with %d completed", done, req.Devices)
@@ -205,17 +187,12 @@ func run() error {
 	log.Printf("resumesmoke: job done, resumed from device %d", done.ResumedFrom)
 
 	// Byte-identical across the crash: the acceptance criterion.
-	got, err := rawLines(base + "/v1/jobs/" + st.ID + "/results")
+	got, err := smoke.RawLines(base + "/v1/jobs/" + st.ID + "/results")
 	if err != nil {
 		return err
 	}
-	if len(got) != len(want) {
-		return fmt.Errorf("stream has %d lines, reference %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			return fmt.Errorf("line %d differs across the crash:\nserver   : %s\nreference: %s", i, got[i], want[i])
-		}
+	if err := smoke.Compare(got, want); err != nil {
+		return fmt.Errorf("across the crash: %w", err)
 	}
 	log.Printf("resumesmoke: stream byte-identical to the in-process reference (%d lines)", len(got))
 
@@ -249,14 +226,14 @@ func run() error {
 		return fmt.Errorf("healthz uptime/version missing: %+v", h)
 	}
 	// /metrics must agree with healthz on what the restart cost.
-	resumed, err := scrapeMetric(base, "jobs_resumed_total")
+	resumed, err := smoke.ScrapeMetric(base, "jobs_resumed_total")
 	if err != nil {
 		return err
 	}
 	if int(resumed) != h.JobsResumed {
 		return fmt.Errorf("jobs_resumed_total = %g, healthz says %d", resumed, h.JobsResumed)
 	}
-	rerun, err := scrapeMetric(base, "resume_devices_rerun_total")
+	rerun, err := smoke.ScrapeMetric(base, "resume_devices_rerun_total")
 	if err != nil {
 		return err
 	}
@@ -275,150 +252,21 @@ func run() error {
 	if err != nil {
 		return fmt.Errorf("submitting mid-batch range job: %w", err)
 	}
-	deadline = time.Now().Add(120 * time.Second)
-	for {
-		cur, err := c.Job(ctx, rst.ID)
-		if err != nil {
-			return fmt.Errorf("polling range job: %w", err)
-		}
-		if cur.State == service.StateDone {
-			break
-		}
-		if cur.State.Terminal() {
-			return fmt.Errorf("range job ended %q: %s", cur.State, cur.Error)
-		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("range job never finished: %+v", cur)
-		}
-		time.Sleep(25 * time.Millisecond)
+	if cur, err := smoke.WaitJob(ctx, c, rst.ID, 120*time.Second); err != nil {
+		return fmt.Errorf("range job: %w", err)
+	} else if cur.State != service.StateDone {
+		return fmt.Errorf("range job ended %q: %s", cur.State, cur.Error)
 	}
-	rgot, err := rawLines(base + "/v1/jobs/" + rst.ID + "/results")
+	rgot, err := smoke.RawLines(base + "/v1/jobs/" + rst.ID + "/results")
 	if err != nil {
 		return err
 	}
-	rwant := want[rangeReq.FirstDevice : rangeReq.FirstDevice+rangeReq.Devices]
-	if len(rgot) != len(rwant) {
-		return fmt.Errorf("range stream has %d lines, want %d", len(rgot), len(rwant))
-	}
-	for i := range rwant {
-		if rgot[i] != rwant[i] {
-			return fmt.Errorf("range line %d differs from full-run suffix:\nserver   : %s\nreference: %s",
-				i, rgot[i], rwant[i])
-		}
+	if err := smoke.Compare(rgot, want[rangeReq.FirstDevice:rangeReq.FirstDevice+rangeReq.Devices]); err != nil {
+		return fmt.Errorf("range job vs the full-run suffix: %w", err)
 	}
 	log.Printf("resumesmoke: mid-batch range job [37,67) byte-identical to the full-run suffix")
 
 	log.Printf("resumesmoke: OK (recovered %d, resumed %d, %d devices re-run)",
 		h.JobsRecovered, h.JobsResumed, h.ResumeDevicesRerun)
 	return nil
-}
-
-// scrapeMetric fetches /metrics and sums every series of the named
-// family (all label sets).
-func scrapeMetric(base, name string) (float64, error) {
-	resp, err := http.Get(base + "/metrics")
-	if err != nil {
-		return 0, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return 0, fmt.Errorf("GET /metrics: HTTP %d", resp.StatusCode)
-	}
-	sum, found := 0.0, false
-	sc := bufio.NewScanner(resp.Body)
-	for sc.Scan() {
-		line := sc.Text()
-		if !strings.HasPrefix(line, name) {
-			continue
-		}
-		rest := line[len(name):]
-		if !strings.HasPrefix(rest, " ") && !strings.HasPrefix(rest, "{") {
-			continue
-		}
-		fields := strings.Fields(line)
-		v, err := strconv.ParseFloat(fields[len(fields)-1], 64)
-		if err != nil {
-			return 0, fmt.Errorf("bad sample %q: %v", line, err)
-		}
-		sum += v
-		found = true
-	}
-	if err := sc.Err(); err != nil {
-		return 0, err
-	}
-	if !found {
-		return 0, fmt.Errorf("metric %s absent from /metrics", name)
-	}
-	return sum, nil
-}
-
-// referenceLines runs the request's session in-process and returns the
-// NDJSON lines a crash-free server would stream.
-func referenceLines(req service.JobRequest) ([]string, error) {
-	s, err := memtest.New(req.Plan,
-		memtest.WithSeed(req.Seed), memtest.WithDRF(),
-		memtest.WithFleetDelivery(memtest.Ordered))
-	if err != nil {
-		return nil, err
-	}
-	var lines []string
-	for dr, err := range s.RunFleet(context.Background(), req.Devices) {
-		if err != nil {
-			return nil, err
-		}
-		data, err := json.Marshal(dr)
-		if err != nil {
-			return nil, err
-		}
-		lines = append(lines, string(data))
-	}
-	return lines, nil
-}
-
-func rawLines(url string) ([]string, error) {
-	resp, err := http.Get(url)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("GET %s: HTTP %d", url, resp.StatusCode)
-	}
-	var lines []string
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 64*1024), 16<<20)
-	for sc.Scan() {
-		if len(sc.Bytes()) > 0 {
-			lines = append(lines, sc.Text())
-		}
-	}
-	return lines, sc.Err()
-}
-
-// freePort grabs an ephemeral port and releases it for memtestd.
-func freePort() (int, error) {
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return 0, err
-	}
-	defer l.Close()
-	return l.Addr().(*net.TCPAddr).Port, nil
-}
-
-// waitHealthy polls /v1/healthz until the daemon answers.
-func waitHealthy(base string) error {
-	deadline := time.Now().Add(15 * time.Second)
-	for {
-		resp, err := http.Get(base + "/v1/healthz")
-		if err == nil {
-			resp.Body.Close()
-			if resp.StatusCode == http.StatusOK {
-				return nil
-			}
-		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("memtestd never became healthy on %s: %v", base, err)
-		}
-		time.Sleep(50 * time.Millisecond)
-	}
 }

@@ -9,19 +9,68 @@ import (
 	"repro/service/client"
 )
 
+// job is one run of a coordinated job: the shared job record, whose
+// status carries the shard table, plus the drain the merge loop is on.
+// The steal monitor fires drainCancel to un-park a drain whose
+// remainder it just re-assigned (a stalled stream would otherwise never
+// notice its shard shrank). Guarded by the job lock.
+type job struct {
+	*service.Job
+	drainIdx    int
+	drainCancel context.CancelFunc
+}
+
 // shard returns a copy of shard i's current state.
 func (j *job) shard(i int) service.ShardStatus {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.status.Shards[i]
+	j.Lock()
+	defer j.Unlock()
+	return j.Status.Shards[i]
 }
 
 // shardCount reads the current shard-table length; the table can grow
 // mid-merge when a steal re-splits a straggler's remainder.
 func (j *job) shardCount() int {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return len(j.status.Shards)
+	j.Lock()
+	defer j.Unlock()
+	return len(j.Status.Shards)
+}
+
+// appendShard spools one merged device line for shard i and wakes
+// followers. The boundary check, the spool append and the counters are
+// one critical section on purpose: the steal monitor moves shard
+// boundaries under the job lock, so an append that checked Hi outside
+// the lock could spool a line past a freshly shrunk shard and duplicate
+// it with the stolen shard's stream. Returns accepted=false when the
+// shard is already full (the line belongs to a stolen shard's worker
+// job now), full=true when this line completed the shard, and a non-nil
+// error only for a spool failure — results the coordinator cannot
+// retain must not silently vanish from late readers.
+func (j *job) appendShard(i int, line []byte) (accepted, full bool, err error) {
+	j.Lock()
+	defer j.Unlock()
+	sh := &j.Status.Shards[i]
+	if sh.Lo+sh.Merged >= sh.Hi {
+		return false, true, nil
+	}
+	if err := j.AppendLocked(line); err != nil {
+		return false, false, err
+	}
+	sh.Merged++
+	return true, sh.Lo+sh.Merged >= sh.Hi, nil
+}
+
+// setDrain registers the cancel func for the drain attempt on shard i.
+func (j *job) setDrain(i int, cancel context.CancelFunc) {
+	j.Lock()
+	j.drainIdx, j.drainCancel = i, cancel
+	j.Unlock()
+}
+
+// checkpoint persists the shard table at a shard boundary.
+func (j *job) checkpoint() {
+	j.Lock()
+	j.Persist() //nolint:errcheck // shard-boundary checkpoint; the spool stays authoritative
+	j.Unlock()
 }
 
 // merge runs one coordinated job end to end: every shard without a
@@ -79,14 +128,14 @@ func (c *Coordinator) dispatch(ctx context.Context, j *job, i int, avoid string)
 			}
 			continue
 		}
-		j.mu.Lock()
-		j.status.Shards[i].Worker = w.url
-		j.status.Shards[i].JobID = st.ID
-		j.status.Shards[i].DispatchLo = lo
-		j.persist() //nolint:errcheck // the next persist (or recovery's re-dispatch) repairs a missed write
-		j.mu.Unlock()
+		j.Lock()
+		j.Status.Shards[i].Worker = w.url
+		j.Status.Shards[i].JobID = st.ID
+		j.Status.Shards[i].DispatchLo = lo
+		j.Persist() //nolint:errcheck // the next persist (or recovery's re-dispatch) repairs a missed write
+		j.Unlock()
 		c.metrics.shardDispatch.Inc()
-		c.log.Info("shard dispatched", "job", j.id, "shard", i, "worker", w.url, "job_id", st.ID, "lo", lo, "hi", sh.Hi)
+		c.log.Info("shard dispatched", "job", j.ID, "shard", i, "worker", w.url, "job_id", st.ID, "lo", lo, "hi", sh.Hi)
 		return nil
 	}
 	return fmt.Errorf("coord: dispatch shard [%d,%d): %w", lo, sh.Hi, lastErr)
@@ -96,15 +145,15 @@ func (c *Coordinator) dispatch(ctx context.Context, j *job, i int, avoid string)
 // [lo, hi) of coordinated job j.
 func (c *Coordinator) shardRequest(j *job, lo, hi int) service.JobRequest {
 	return service.JobRequest{
-		Plan:        j.req.Plan,
+		Plan:        j.Req.Plan,
 		Devices:     hi - lo,
 		FirstDevice: lo,
-		Scheme:      j.req.Scheme,
-		DRF:         j.req.DRF,
-		Seed:        j.req.Seed,
-		Workers:     j.req.Workers,
+		Scheme:      j.Req.Scheme,
+		DRF:         j.Req.DRF,
+		Seed:        j.Req.Seed,
+		Workers:     j.Req.Workers,
 		Delivery:    "ordered", // resume and merge both need an ordered spool
-		Repair:      j.req.Repair,
+		Repair:      j.Req.Repair,
 	}
 }
 
@@ -122,9 +171,7 @@ func (c *Coordinator) drainShard(ctx context.Context, j *job, i int) error {
 	for {
 		sh := j.shard(i)
 		if sh.Merged >= sh.Hi-sh.Lo {
-			j.mu.Lock()
-			j.persist() //nolint:errcheck // shard-boundary checkpoint; the spool stays authoritative
-			j.mu.Unlock()
+			j.checkpoint()
 			return nil
 		}
 		if sh.JobID == "" {
@@ -156,7 +203,7 @@ func (c *Coordinator) drainShard(ctx context.Context, j *job, i int) error {
 				}
 				ok, full, aerr := j.appendShard(i, line)
 				if aerr != nil {
-					j.clearDrain()
+					j.setDrain(0, nil)
 					cancelAttempt()
 					return aerr // own storage failed; re-dispatching cannot help
 				}
@@ -172,7 +219,7 @@ func (c *Coordinator) drainShard(ctx context.Context, j *job, i int) error {
 					break
 				}
 			}
-			j.clearDrain()
+			j.setDrain(0, nil)
 			interrupted = attemptCtx.Err() != nil && ctx.Err() == nil
 			cancelAttempt()
 		}
@@ -185,9 +232,7 @@ func (c *Coordinator) drainShard(ctx context.Context, j *job, i int) error {
 		// job being cancelled).
 		sh = j.shard(i)
 		if sh.Merged >= sh.Hi-sh.Lo {
-			j.mu.Lock()
-			j.persist() //nolint:errcheck // shard-boundary checkpoint; the spool stays authoritative
-			j.mu.Unlock()
+			j.checkpoint()
 			return nil
 		}
 		if interrupted {
@@ -197,15 +242,15 @@ func (c *Coordinator) drainShard(ctx context.Context, j *job, i int) error {
 			streamErr = fmt.Errorf("coord: worker %s job %s ended %d lines short of shard [%d,%d)",
 				sh.Worker, sh.JobID, sh.Hi-sh.Lo-sh.Merged, sh.Lo, sh.Hi)
 		}
-		j.mu.Lock()
-		j.status.Shards[i].Redispatches++
-		redispatches := j.status.Shards[i].Redispatches
-		j.status.Shards[i].JobID = ""
-		j.persist() //nolint:errcheck // shard-boundary checkpoint; the spool stays authoritative
-		j.mu.Unlock()
+		j.Lock()
+		j.Status.Shards[i].Redispatches++
+		redispatches := j.Status.Shards[i].Redispatches
+		j.Status.Shards[i].JobID = ""
+		j.Persist() //nolint:errcheck // shard-boundary checkpoint; the spool stays authoritative
+		j.Unlock()
 		c.metrics.shardRedispatch.Inc()
 		c.log.Warn("shard stream failed, re-dispatching remainder",
-			"job", j.id, "shard", i, "worker", sh.Worker, "merged", sh.Merged, "redispatches", redispatches, "error", streamErr)
+			"job", j.ID, "shard", i, "worker", sh.Worker, "merged", sh.Merged, "redispatches", redispatches, "error", streamErr)
 		if redispatches > c.cfg.Redispatches {
 			return fmt.Errorf("coord: shard [%d,%d) abandoned after %d re-dispatches: %w",
 				sh.Lo, sh.Hi, c.cfg.Redispatches, streamErr)
@@ -213,13 +258,12 @@ func (c *Coordinator) drainShard(ctx context.Context, j *job, i int) error {
 	}
 }
 
-// cancelShardJobs best-effort cancels the worker jobs of every
-// incomplete shard, so an abandoned coordinated job does not leave
-// workers diagnosing devices nobody will merge.
-func (c *Coordinator) cancelShardJobs(j *job) {
+// cancelWorkerJobs best-effort cancels the worker jobs of every
+// dispatched, incomplete shard among shards.
+func (c *Coordinator) cancelWorkerJobs(shards []service.ShardStatus) {
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
-	for _, sh := range j.snapshot().Shards {
+	for _, sh := range shards {
 		if sh.JobID == "" || sh.Merged >= sh.Hi-sh.Lo {
 			continue
 		}

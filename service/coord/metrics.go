@@ -12,43 +12,27 @@ import (
 // workers never conflates the two layers. With a nil registry every
 // instrument is a nil no-op, same contract as the manager's.
 type coordMetrics struct {
-	jobsSubmitted   *obs.Counter
-	jobsDone        *obs.Counter
-	jobsFailed      *obs.Counter
-	jobsCancelled   *obs.Counter
+	job             service.JobMetrics
 	mergedLines     *obs.Counter
 	shardDispatch   *obs.Counter
 	shardRedispatch *obs.Counter
 	shardSteals     *obs.Counter
-	evictions       *obs.Counter
-	jobDuration     *obs.Histogram
 }
 
 func newCoordMetrics(reg *obs.Registry) *coordMetrics {
 	return &coordMetrics{
-		jobsSubmitted:   reg.Counter("coord_jobs_submitted_total", "Coordinated jobs accepted by Submit."),
-		jobsDone:        reg.Counter("coord_jobs_finished_total", "Coordinated jobs reaching a terminal state.", "state", "done"),
-		jobsFailed:      reg.Counter("coord_jobs_finished_total", "Coordinated jobs reaching a terminal state.", "state", "failed"),
-		jobsCancelled:   reg.Counter("coord_jobs_finished_total", "Coordinated jobs reaching a terminal state.", "state", "cancelled"),
+		job: service.JobMetrics{
+			Submitted: reg.Counter("coord_jobs_submitted_total", "Coordinated jobs accepted by Submit."),
+			Done:      reg.Counter("coord_jobs_finished_total", "Coordinated jobs reaching a terminal state.", "state", "done"),
+			Failed:    reg.Counter("coord_jobs_finished_total", "Coordinated jobs reaching a terminal state.", "state", "failed"),
+			Cancelled: reg.Counter("coord_jobs_finished_total", "Coordinated jobs reaching a terminal state.", "state", "cancelled"),
+			Evictions: reg.Counter("coord_retention_evictions_total", "Finished coordinated jobs evicted by the retention caps."),
+			Duration:  reg.Histogram("coord_job_duration_seconds", "Coordinated job wall time from start to terminal state.", obs.DurationBuckets),
+		},
 		mergedLines:     reg.Counter("coord_merged_lines_total", "Worker result lines merged into coordinated spools, in device order."),
 		shardDispatch:   reg.Counter("coord_shard_dispatch_total", "Shard ranges submitted to workers (first dispatches and re-dispatches)."),
 		shardRedispatch: reg.Counter("coord_shard_redispatch_total", "Shards moved to a new worker after a stream failed past the reconnect budget."),
 		shardSteals:     reg.Counter("coord_shard_steals_total", "Straggler shard remainders re-split and re-dispatched to idle workers."),
-		evictions:       reg.Counter("coord_retention_evictions_total", "Finished coordinated jobs evicted by the retention caps."),
-		jobDuration:     reg.Histogram("coord_job_duration_seconds", "Coordinated job wall time from start to terminal state.", obs.DurationBuckets),
-	}
-}
-
-// finished returns the coord_jobs_finished_total series for a terminal
-// state.
-func (x *coordMetrics) finished(state service.State) *obs.Counter {
-	switch state {
-	case service.StateDone:
-		return x.jobsDone
-	case service.StateCancelled:
-		return x.jobsCancelled
-	default:
-		return x.jobsFailed
 	}
 }
 
@@ -62,42 +46,29 @@ func (c *Coordinator) registerGauges(reg *obs.Registry) {
 		return
 	}
 	reg.GaugeFunc("coord_queue_depth", "Coordinated jobs waiting in the bounded backlog.", func() float64 {
-		c.mu.Lock()
-		defer c.mu.Unlock()
-		return float64(len(c.backlog))
+		return float64(c.JobTable.Health().QueuedJobs)
 	})
 	reg.GaugeFunc("coord_queue_capacity", "Configured backlog capacity.", func() float64 {
-		return float64(c.cfg.Queue)
+		return float64(c.JobTable.Health().Queue)
 	})
 	reg.GaugeFunc("coord_jobs_running", "Coordinated jobs currently merging.", func() float64 {
-		c.mu.Lock()
-		defer c.mu.Unlock()
-		return float64(c.running)
+		return float64(c.JobTable.Health().RunningJobs)
 	})
 	reg.GaugeFunc("coord_merge_backlog_devices", "Devices still unmerged across non-terminal jobs (merge lag).", func() float64 {
-		c.mu.Lock()
-		defer c.mu.Unlock()
 		var lag int
-		for _, j := range c.jobs {
-			if st := j.snapshot(); !st.State.Terminal() {
+		for _, st := range c.Jobs() {
+			if !st.State.Terminal() {
 				lag += st.Devices - st.Completed
 			}
 		}
 		return float64(lag)
 	})
 	reg.GaugeFunc("coord_devices_per_sec", "Rolling merged-device rate over the last few seconds.", c.meter.Rate)
-	reg.GaugeFunc("uptime_seconds", "Seconds since this process started.", func() float64 {
-		return c.now().Sub(c.started).Seconds()
-	})
 	reg.CounterFunc("coord_jobs_recovered_total", "Coordinated jobs restored from the data directory at startup.", func() float64 {
-		c.mu.Lock()
-		defer c.mu.Unlock()
-		return float64(c.jobsRecovered)
+		return float64(c.JobTable.Health().JobsRecovered)
 	})
 	reg.CounterFunc("coord_jobs_resumed_total", "Recovered coordinated jobs re-enqueued to resume an interrupted merge.", func() float64 {
-		c.mu.Lock()
-		defer c.mu.Unlock()
-		return float64(c.jobsResumed)
+		return float64(c.JobTable.Health().JobsResumed)
 	})
 	reg.CounterFunc("coord_stream_reconnects_total", "Shard-stream reconnect attempts across the fleet.", func() float64 {
 		return float64(c.streamStats.Reconnects.Load())
@@ -141,7 +112,7 @@ func (c *Coordinator) registerWorkerGauges(w *worker) {
 		if w.lastProbe.IsZero() {
 			return -1
 		}
-		return c.now().Sub(w.lastProbe).Seconds()
+		return time.Since(w.lastProbe).Seconds()
 	}, "worker", w.url)
 	reg.GaugeFunc("coord_worker_fleet_workers", "Device-worker pool the worker reported on its last successful probe.", func() float64 {
 		w.mu.Lock()

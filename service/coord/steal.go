@@ -69,14 +69,14 @@ func (c *Coordinator) shardRemainders(ctx context.Context, shards []service.Shar
 // keeps the merged stream byte-identical: the stolen shards produce
 // exactly the lines the straggler would have.
 func (c *Coordinator) maybeSteal(ctx context.Context, j *job) {
-	j.mu.Lock()
-	if j.status.State != service.StateRunning {
-		j.mu.Unlock()
+	j.Lock()
+	if j.Status.State != service.StateRunning {
+		j.Unlock()
 		return
 	}
-	shards := append([]service.ShardStatus(nil), j.status.Shards...)
+	shards := append([]service.ShardStatus(nil), j.Status.Shards...)
 	drainIdx := j.drainIdx
-	j.mu.Unlock()
+	j.Unlock()
 	for _, sh := range shards {
 		if sh.Merged < sh.Hi-sh.Lo && sh.JobID == "" {
 			return // a dispatch or re-dispatch is in flight; sizing would race it
@@ -120,21 +120,9 @@ func (c *Coordinator) maybeSteal(ctx context.Context, j *job) {
 			dispatched++
 		} else {
 			c.log.Warn("steal dispatch refused, leaving sub-range for the merge loop",
-				"job", j.id, "worker", w.url, "lo", p.Lo, "hi", p.Hi, "error", err)
+				"job", j.ID, "worker", w.url, "lo", p.Lo, "hi", p.Hi, "error", err)
 		}
 		stolen = append(stolen, sh)
-	}
-	cancelStolen := func() {
-		cctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		for _, sh := range stolen {
-			if sh.JobID == "" {
-				continue
-			}
-			if w := c.reg.byURL(sh.Worker); w != nil {
-				w.cli.Cancel(cctx, sh.JobID) //nolint:errcheck // best effort; the job may already be gone
-			}
-		}
 	}
 	if dispatched == 0 {
 		return // every target refused; nothing changed, retry next tick
@@ -144,18 +132,17 @@ func (c *Coordinator) maybeSteal(ctx context.Context, j *job) {
 	// built from — same range, same worker job, merge point unmoved. A
 	// healthy stream that merged even one line in the meantime aborts
 	// the steal, so only genuinely stalled remainders ever move.
-	j.mu.Lock()
+	j.Lock()
 	committed := false
 	var interrupt context.CancelFunc
-	if j.status.State == service.StateRunning && vi < len(j.status.Shards) {
-		v := &j.status.Shards[vi]
+	if j.Status.State == service.StateRunning && vi < len(j.Status.Shards) {
+		v := &j.Status.Shards[vi]
 		if v.Hi == victim.Hi && v.JobID == victim.JobID && v.Lo+v.Merged == cut {
 			v.Hi = cut // the victim shard is now complete at its merge point
-			tail := append(stolen, j.status.Shards[vi+1:]...)
-			j.status.Shards = append(j.status.Shards[:vi+1], tail...)
-			j.status.Steals++
-			j.persist() //nolint:errcheck // the next persist (or recovery's rebase) repairs a missed write
-			j.cond.Broadcast()
+			tail := append(stolen, j.Status.Shards[vi+1:]...)
+			j.Status.Shards = append(j.Status.Shards[:vi+1], tail...)
+			j.Status.Steals++
+			j.Persist() //nolint:errcheck // the next persist (or recovery's rebase) repairs a missed write
 			committed = true
 			if j.drainIdx == vi && j.drainCancel != nil {
 				// Un-park the merge loop's drain of the superseded stream.
@@ -163,23 +150,17 @@ func (c *Coordinator) maybeSteal(ctx context.Context, j *job) {
 			}
 		}
 	}
-	j.mu.Unlock()
+	j.Unlock()
 	if !committed {
-		cancelStolen()
+		c.cancelWorkerJobs(stolen)
 		return
 	}
 	c.metrics.shardSteals.Inc()
 	c.log.Info("straggler remainder stolen",
-		"job", j.id, "shard", vi, "worker", victim.Worker, "cut", cut, "hi", victim.Hi,
+		"job", j.ID, "shard", vi, "worker", victim.Worker, "cut", cut, "hi", victim.Hi,
 		"pieces", len(stolen), "dispatched", dispatched, "remainder", worst, "median", median)
 	if interrupt != nil {
 		interrupt()
 	}
-	if victim.JobID != "" {
-		cctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		if w := c.reg.byURL(victim.Worker); w != nil {
-			w.cli.Cancel(cctx, victim.JobID) //nolint:errcheck // superseded; the worker may already have finished it
-		}
-	}
+	c.cancelWorkerJobs([]service.ShardStatus{victim}) // superseded
 }

@@ -32,14 +32,12 @@
 // as they are produced — one append-only NDJSON file per job plus a
 // small JSON manifest — so replaying a stream to a late reader costs
 // a bounded line-offset index, not an in-memory copy of every result.
-// With the in-memory store (the default when Config.Store is nil)
-// jobs die with the process; with a disk store (store.NewDisk, the
-// memtestd -data-dir flag) NewManager recovers the data directory on
-// startup: finished jobs re-stream byte-identically, and jobs that
-// were queued or running when the previous process died are marked
-// failed with their spooled prefix still streamable. Config.RetainJobs
-// and Config.RetainBytes bound retention; the oldest finished jobs
-// are evicted first.
+// With a disk store (store.NewDisk, the memtestd -data-dir flag)
+// NewManager recovers the data directory on startup: finished jobs
+// re-stream byte-identically and interrupted ordered jobs resume their
+// missing device suffix. Config.RetainJobs and Config.RetainBytes
+// bound retention, oldest finished jobs first. This lifecycle lives in
+// JobTable, which memtest-coord's coordinator shares.
 //
 // # Scheduling
 //

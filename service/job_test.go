@@ -43,7 +43,7 @@ func TestConfigDefaults(t *testing.T) {
 func TestWorkerLedger(t *testing.T) {
 	m := mustManager(t, Config{Jobs: 4, Queue: 8, FleetWorkers: 8})
 	defer m.Close()
-	big := &job{devices: 1 << 20}
+	big := &Job{Req: JobRequest{Devices: 1 << 20}}
 
 	// Idle manager: the whole pool goes to the first job.
 	if got := m.claimWorkers(big); got != 8 {
@@ -61,7 +61,7 @@ func TestWorkerLedger(t *testing.T) {
 
 	// Three jobs queued behind this one: fair split of 8 over 4.
 	m.mu.Lock()
-	m.backlog = []*job{big, big, big}
+	m.backlog = []*Job{big, big, big}
 	m.mu.Unlock()
 	if got := m.claimWorkers(big); got != 2 {
 		t.Fatalf("split claim = %d, want 2", got)
@@ -72,12 +72,12 @@ func TestWorkerLedger(t *testing.T) {
 	m.mu.Unlock()
 
 	// A small fleet never claims more workers than devices.
-	if got := m.claimWorkers(&job{devices: 3}); got != 3 {
+	if got := m.claimWorkers(&Job{Req: JobRequest{Devices: 3}}); got != 3 {
 		t.Fatalf("device-capped claim = %d, want 3", got)
 	}
 	m.releaseWorkers(3)
 	// An explicit request caps the grant below the fair share.
-	if got := m.claimWorkers(&job{devices: 1 << 20, req: JobRequest{Workers: 2}}); got != 2 {
+	if got := m.claimWorkers(&Job{Req: JobRequest{Devices: 1 << 20, Workers: 2}}); got != 2 {
 		t.Fatalf("requested-capped claim = %d, want 2", got)
 	}
 	m.releaseWorkers(2)

@@ -11,51 +11,35 @@ import (
 // cost, the zero-overhead-when-disabled invariant the obs package
 // pins.
 type metrics struct {
-	jobsSubmitted    *obs.Counter
-	jobsDone         *obs.Counter
-	jobsFailed       *obs.Counter
-	jobsCancelled    *obs.Counter
+	job              JobMetrics
 	devicesDiagnosed *obs.Counter
 	devicesCompleted *obs.Counter
 	workerGrants     *obs.Counter
-	evictions        *obs.Counter
 	spoolAppends     *obs.Counter
 	spoolBytes       *obs.Counter
 	spoolFlushes     *obs.Counter
 	spoolReadErrors  *obs.Counter
-	jobDuration      *obs.Histogram
 }
 
 // newMetrics registers the Manager's event-driven instruments; reg may
 // be nil (disabled).
 func newMetrics(reg *obs.Registry) *metrics {
 	return &metrics{
-		jobsSubmitted:    reg.Counter("jobs_submitted_total", "Fleet jobs accepted by Submit."),
-		jobsDone:         reg.Counter("jobs_finished_total", "Jobs reaching a terminal state.", "state", "done"),
-		jobsFailed:       reg.Counter("jobs_finished_total", "Jobs reaching a terminal state.", "state", "failed"),
-		jobsCancelled:    reg.Counter("jobs_finished_total", "Jobs reaching a terminal state.", "state", "cancelled"),
+		job: JobMetrics{
+			Submitted: reg.Counter("jobs_submitted_total", "Fleet jobs accepted by Submit."),
+			Done:      reg.Counter("jobs_finished_total", "Jobs reaching a terminal state.", "state", "done"),
+			Failed:    reg.Counter("jobs_finished_total", "Jobs reaching a terminal state.", "state", "failed"),
+			Cancelled: reg.Counter("jobs_finished_total", "Jobs reaching a terminal state.", "state", "cancelled"),
+			Evictions: reg.Counter("retention_evictions_total", "Finished jobs evicted by the retention caps."),
+			Duration:  reg.Histogram("job_duration_seconds", "Job wall time from start to terminal state.", obs.DurationBuckets),
+		},
 		devicesDiagnosed: reg.Counter("devices_diagnosed_total", "Devices diagnosed by fleet workers (compute time, ahead of ordered delivery)."),
 		devicesCompleted: reg.Counter("devices_completed_total", "Device results appended to job spools."),
 		workerGrants:     reg.Counter("fleet_worker_grants_total", "Fleet workers lent to starting jobs by the ledger, cumulative."),
-		evictions:        reg.Counter("retention_evictions_total", "Finished jobs evicted by the retention caps."),
 		spoolAppends:     reg.Counter("store_appends_total", "Result lines appended to the job store."),
 		spoolBytes:       reg.Counter("store_appended_bytes_total", "Result bytes appended to the job store, newline included."),
 		spoolFlushes:     reg.Counter("store_flushes_total", "Explicit spool flushes (result-boundary durability points)."),
 		spoolReadErrors:  reg.Counter("store_read_errors_total", "Spool reads that failed under a live follower."),
-		jobDuration:      reg.Histogram("job_duration_seconds", "Job wall time from start to terminal state.", obs.DurationBuckets),
-	}
-}
-
-// finished returns the jobs_finished_total series for a terminal
-// state.
-func (x *metrics) finished(state State) *obs.Counter {
-	switch state {
-	case StateDone:
-		return x.jobsDone
-	case StateCancelled:
-		return x.jobsCancelled
-	default:
-		return x.jobsFailed
 	}
 }
 
@@ -81,7 +65,7 @@ func (m *Manager) registerGauges(reg *obs.Registry) {
 			defer m.mu.Unlock()
 			n := 0
 			for _, j := range m.jobs {
-				if j.snapshot().State == state {
+				if j.Snapshot().State == state {
 					n++
 				}
 			}
@@ -102,9 +86,6 @@ func (m *Manager) registerGauges(reg *obs.Registry) {
 		return float64(m.cfg.FleetWorkers - m.avail)
 	})
 	reg.GaugeFunc("devices_per_sec", "Rolling device diagnosis rate over the last few seconds.", m.meter.Rate)
-	reg.GaugeFunc("uptime_seconds", "Seconds since this process started.", func() float64 {
-		return m.now().Sub(m.started).Seconds()
-	})
 	reg.CounterFunc("jobs_recovered_total", "Jobs restored from the data directory at startup.", func() float64 {
 		m.mu.Lock()
 		defer m.mu.Unlock()
@@ -128,13 +109,6 @@ func (m *Manager) registerGauges(reg *obs.Registry) {
 type measuredStore struct {
 	store.Store
 	x *metrics
-}
-
-// Durable forwards the optional capability the manager's Health check
-// looks for — interface embedding does not promote it.
-func (s measuredStore) Durable() bool {
-	d, ok := s.Store.(interface{ Durable() bool })
-	return ok && d.Durable()
 }
 
 func (s measuredStore) Create(id string, manifest []byte) (store.Job, error) {

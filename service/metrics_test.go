@@ -152,3 +152,32 @@ func TestMetricsDisabled(t *testing.T) {
 		t.Errorf("unmetered GET /metrics: HTTP %d, want 404", resp.StatusCode)
 	}
 }
+
+// TestMetricsCountCancelledWhileQueued: a job cancelled before it ever
+// started still reaches a terminal state, so jobs_finished_total
+// counts it — once, under state="cancelled".
+func TestMetricsCountCancelledWhileQueued(t *testing.T) {
+	c, _, ts := newTestServer(t, service.Config{Jobs: 1, Queue: 2, Metrics: obs.NewRegistry()})
+	e := newBlockEngine(t, "block-metrics-cancel")
+	ctx := context.Background()
+	req := service.JobRequest{Plan: testPlan(), Devices: 1, Scheme: e.name}
+	if _, err := c.Submit(ctx, req); err != nil {
+		t.Fatal(err)
+	}
+	e.awaitStart(t) // the only scheduler worker is parked in the first job
+	queued, err := c.Submit(ctx, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Cancel(ctx, queued.ID); err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, c, queued.ID, service.StateCancelled)
+	body := scrape(t, ts)
+	if !strings.Contains(body, `jobs_finished_total{state="cancelled"} 1`) {
+		t.Errorf("cancelled-while-queued job not counted:\n%s", body)
+	}
+	if got := metricValue(t, body, "jobs_finished_total"); got != 1 {
+		t.Errorf("jobs_finished_total = %g, want 1 (the parked job is still running)", got)
+	}
+}

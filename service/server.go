@@ -26,7 +26,7 @@ type Backend interface {
 	// job in submission order.
 	Status(id string) (JobStatus, error)
 	Jobs() []JobStatus
-	// Cancel stops a job; see Manager.Cancel for the state contract.
+	// Cancel stops a job; see JobTable.Cancel for the state contract.
 	Cancel(id string) (JobStatus, error)
 	// Follow streams a job's result lines from line offset onward until
 	// the job ends or ctx is cancelled; it returns the job's terminal

@@ -159,12 +159,7 @@ func (s *Store) Close() error { return s.inner.Close() }
 
 // Durable forwards the inner store's durability so a faulty disk store
 // still reports Durable in /v1/healthz.
-func (s *Store) Durable() bool {
-	if d, ok := s.inner.(interface{ Durable() bool }); ok {
-		return d.Durable()
-	}
-	return false
-}
+func (s *Store) Durable() bool { return s.inner.Durable() }
 
 // job decorates one spool with the store's armed faults.
 type job struct {

@@ -83,10 +83,7 @@ type Job interface {
 	Manifest() ([]byte, error)
 }
 
-// Store is a collection of job spools keyed by ID. A store whose
-// spools survive process restarts additionally implements
-// `Durable() bool` returning true — the capability /v1/healthz reports
-// and memtest-coord requires of its workers.
+// Store is a collection of job spools keyed by ID.
 type Store interface {
 	// Create allocates a new empty spool with the given manifest. It
 	// fails with ErrJobExists for duplicate IDs.
@@ -107,4 +104,8 @@ type Store interface {
 	// Close releases the store's resources. Job handles must not be
 	// used afterwards.
 	Close() error
+	// Durable reports whether spools survive process restarts — the
+	// capability /v1/healthz reports and memtest-coord requires of its
+	// workers.
+	Durable() bool
 }

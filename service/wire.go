@@ -94,8 +94,8 @@ func (r JobRequest) session(maxWorkers int, extra ...memtest.Option) (*memtest.S
 // Resolve validates the request by building (and discarding) a
 // session, returning the resolved engine name ("proposed" when Scheme
 // is empty). Errors wrap the memtest sentinel errors, so front-ends
-// report them as client mistakes. Manager.Submit and memtest-coord
-// both use it for the same fail-fast validation.
+// report them as client mistakes. JobTable.Submit uses it for the
+// fail-fast validation both daemons share.
 func (r JobRequest) Resolve() (string, error) {
 	probe, err := r.session(1)
 	if err != nil {
