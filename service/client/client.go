@@ -302,6 +302,10 @@ func WithReconnect(b Backoff) ResultsOption {
 // not a failure, nothing more to deliver.
 var errStopped = errors.New("client: consumer stopped")
 
+// deviceLine is how every DeviceResult line starts; the terminal error
+// envelope starts with {"error":.
+var deviceLine = []byte(`{"device":`)
+
 // Results tails a job's NDJSON result stream, replaying spooled
 // devices and then following live ones until the job finishes. The
 // iterator mirrors Session.RunFleet: it yields one DeviceResult per
@@ -309,6 +313,12 @@ var errStopped = errors.New("client: consumer stopped")
 // was cancelled server-side, ctx.Err() when ctx ends first. With
 // WithReconnect, connection failures are retried with backoff instead
 // of surfacing, resuming where the stream left off.
+//
+// A line starting with {"device": is decoded in one pass by
+// memtest.DecodeDeviceResult, which parses the canonical layout the
+// server writes directly and hands any other line to json.Unmarshal,
+// so the value is always encoding/json's. Any other line is probed for
+// the {"error":...} envelope.
 func (c *Client) Results(ctx context.Context, id string, opts ...ResultsOption) iter.Seq2[memtest.DeviceResult, error] {
 	var rc resultsConfig
 	for _, o := range opts {
@@ -316,6 +326,15 @@ func (c *Client) Results(ctx context.Context, id string, opts ...ResultsOption) 
 	}
 	return func(yield func(memtest.DeviceResult, error) bool) {
 		sink := func(line []byte) (bool, error) {
+			if bytes.HasPrefix(line, deviceLine) {
+				var dr memtest.DeviceResult
+				if err := memtest.DecodeDeviceResult(line, &dr); err != nil {
+					// A torn line — a server killed mid-write sends half a
+					// result. Retryable: the offset re-requests the whole line.
+					return false, badLine(err)
+				}
+				return yield(dr, nil), nil
+			}
 			// A DeviceResult line never carries an "error" key; the
 			// terminal error envelope carries nothing else, so one
 			// decode discriminates both shapes.
@@ -324,9 +343,7 @@ func (c *Client) Results(ctx context.Context, id string, opts ...ResultsOption) 
 				Error string `json:"error"`
 			}
 			if err := json.Unmarshal(line, &probe); err != nil {
-				// A torn line — a server killed mid-write sends half a
-				// result. Retryable: the offset re-requests the whole line.
-				return false, fmt.Errorf("memtestd: bad stream line: %w", err)
+				return false, badLine(err)
 			}
 			if probe.Error != "" {
 				return false, &JobError{Message: probe.Error}
@@ -344,8 +361,11 @@ func (c *Client) Results(ctx context.Context, id string, opts ...ResultsOption) 
 // byte-identically without a decode/re-encode round trip. Every line
 // is still validated before it is yielded (a torn line triggers
 // reconnect, a terminal {"error":...} envelope surfaces as *JobError,
-// never as a line). The yielded slice is reused by the scanner — copy
-// it before retaining it past the yield.
+// never as a line). A device line in the canonical layout the server
+// writes passes memtest.SkimDeviceResult, which validates it without
+// building it or allocating; any other line is fully parsed and probed
+// for the error envelope. The yielded slice is reused by the scanner —
+// copy it before retaining it past the yield.
 func (c *Client) RawResults(ctx context.Context, id string, opts ...ResultsOption) iter.Seq2[[]byte, error] {
 	var rc resultsConfig
 	for _, o := range opts {
@@ -353,11 +373,14 @@ func (c *Client) RawResults(ctx context.Context, id string, opts ...ResultsOptio
 	}
 	return func(yield func([]byte, error) bool) {
 		sink := func(line []byte) (bool, error) {
+			if memtest.SkimDeviceResult(line) {
+				return yield(line, nil), nil
+			}
 			var probe struct {
 				Error string `json:"error"`
 			}
 			if err := json.Unmarshal(line, &probe); err != nil {
-				return false, fmt.Errorf("memtestd: bad stream line: %w", err)
+				return false, badLine(err)
 			}
 			if probe.Error != "" {
 				return false, &JobError{Message: probe.Error}
@@ -367,6 +390,8 @@ func (c *Client) RawResults(ctx context.Context, id string, opts ...ResultsOptio
 		c.follow(ctx, id, rc, sink, func(err error) { yield(nil, err) })
 	}
 }
+
+func badLine(err error) error { return fmt.Errorf("memtestd: bad stream line: %w", err) }
 
 // follow drives the reconnect loop Results and RawResults share: it
 // opens results connections starting at rc.offset, pumps each line

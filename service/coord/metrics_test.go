@@ -7,6 +7,7 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/obs"
 	"repro/service"
@@ -40,6 +41,24 @@ func metricValue(t *testing.T, body, name string) float64 {
 	return sum
 }
 
+// scrape fetches one /metrics exposition body.
+func scrape(t *testing.T, url string) string {
+	t.Helper()
+	resp, err := http.Get(url)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET /metrics: HTTP %d", resp.StatusCode)
+	}
+	raw, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(raw)
+}
+
 // TestCoordMetricsEndpoint: a metered coordinator exposes the coord_*
 // series — dispatch, merged lines, per-worker fleet gauges — on
 // /metrics after a sharded job completes.
@@ -71,19 +90,15 @@ func TestCoordMetricsEndpoint(t *testing.T) {
 		t.Fatalf("merged %d lines, want 6", n)
 	}
 
-	resp, err := ts.Client().Get(ts.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
+	// The job's terminal accounting lands just after its merged stream
+	// ends, so scrape until it shows (or 10 s pass).
+	var body string
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+		body = scrape(t, ts.URL+"/metrics")
+		if strings.Contains(body, `coord_jobs_finished_total{state="done"} 1`) || time.Now().After(deadline) {
+			break
+		}
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("GET /metrics: HTTP %d", resp.StatusCode)
-	}
-	raw, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	body := string(raw)
 
 	if got := metricValue(t, body, "coord_jobs_submitted_total"); got != 1 {
 		t.Errorf("coord_jobs_submitted_total = %g, want 1", got)

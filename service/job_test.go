@@ -42,7 +42,10 @@ func TestConfigDefaults(t *testing.T) {
 // floor keeps a drained pool from stalling jobs.
 func TestWorkerLedger(t *testing.T) {
 	m := mustManager(t, Config{Jobs: 4, Queue: 8, FleetWorkers: 8})
-	defer m.Close()
+	// Stop the scheduler workers first: the backlog planted below holds
+	// spool-less jobs, and a worker not yet parked on the queue would
+	// dequeue and run one. The ledger arithmetic does not need them.
+	m.Close()
 	big := &Job{Req: JobRequest{Devices: 1 << 20}}
 
 	// Idle manager: the whole pool goes to the first job.

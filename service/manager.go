@@ -1,9 +1,7 @@
 package service
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"log/slog"
@@ -277,24 +275,21 @@ func (m *Manager) run(ctx context.Context, j *Job, start func(workers int) bool)
 		m.resumeDevicesRerun += int64(j.Req.Devices - j.ResumeFrom)
 		m.mu.Unlock()
 	}
-	// One encode buffer per run: every device result is marshalled into
-	// it and handed to the store, which copies (memory) or batches
-	// (disk) it — no fresh allocation and, with a disk store, no write
-	// syscall per result.
-	var encBuf bytes.Buffer
-	enc := json.NewEncoder(&encBuf)
+	// One line buffer per run: every device result is encoded into it
+	// (DeviceResult.AppendJSON, json.Marshal's bytes without reflection)
+	// and handed to the store, which copies (memory) or batches (disk)
+	// it — no fresh allocation and, with a disk store, no write syscall
+	// per result.
+	var line []byte
 	for dr, err := range session.RunFleetRange(ctx, lo, j.Req.FirstDevice+j.Req.Devices) {
 		if err != nil {
 			return err
 		}
-		encBuf.Reset()
-		if err := enc.Encode(dr); err != nil {
+		if line, err = dr.AppendJSON(line[:0]); err != nil {
 			return err
 		}
-		// Encode terminates with exactly one newline; the spool stores
-		// bare lines.
 		j.Lock()
-		err := j.AppendLocked(bytes.TrimSuffix(encBuf.Bytes(), []byte("\n")))
+		err = j.AppendLocked(line)
 		j.Unlock()
 		if err != nil {
 			return err

@@ -81,7 +81,12 @@ func TestMetricsEndpoint(t *testing.T) {
 		_ = dr
 	}
 
-	body := scrape(t, ts)
+	// The job's terminal accounting lands just after its stream ends.
+	var body string
+	eventually(func() bool {
+		body = scrape(t, ts)
+		return strings.Contains(body, `jobs_finished_total{state="done"} 1`)
+	})
 	checks := map[string]float64{
 		"jobs_submitted_total":       1,
 		"jobs_finished_total":        1, // summed across state labels

@@ -31,6 +31,14 @@ import (
 func faultServer(t *testing.T, inner store.Store, cfg service.Config) (*client.Client, *faultstore.Store, *httptest.Server) {
 	t.Helper()
 	fs := faultstore.Wrap(inner)
+	c, ts := serveFaults(t, fs, cfg)
+	return c, fs, ts
+}
+
+// serveFaults is faultServer over an already wrapped store, for faults
+// that must be armed before the manager starts recovering jobs.
+func serveFaults(t *testing.T, fs *faultstore.Store, cfg service.Config) (*client.Client, *httptest.Server) {
+	t.Helper()
 	cfg.Store = fs
 	m, err := service.NewManager(cfg)
 	if err != nil {
@@ -38,7 +46,7 @@ func faultServer(t *testing.T, inner store.Store, cfg service.Config) (*client.C
 	}
 	ts := httptest.NewServer(service.NewServer(m))
 	t.Cleanup(func() { ts.Close(); m.Close() })
-	return client.New(ts.URL, ts.Client()), fs, ts
+	return client.New(ts.URL, ts.Client()), ts
 }
 
 // memServer spins a manager directly over inner (no fault wrapper) —
@@ -189,7 +197,9 @@ func TestResumeTornTailOnDisk(t *testing.T) {
 	c1 := client.New(ts1.URL, ts1.Client())
 
 	e := newBlockEngine(t, "block-resume-torn")
-	req := service.JobRequest{Plan: testPlan(), Devices: 5, Scheme: e.name, Delivery: "ordered", Seed: 9}
+	// One fleet worker: each release completes the next device in order.
+	// With two, a release can reach device 2 before device 1 is done.
+	req := service.JobRequest{Plan: testPlan(), Devices: 5, Scheme: e.name, Delivery: "ordered", Workers: 1, Seed: 9}
 	st, err := c1.Submit(ctx, req)
 	if err != nil {
 		t.Fatal(err)
@@ -318,8 +328,11 @@ func TestResumeOfResume(t *testing.T) {
 	waitState(t, c1, st.ID, service.StateFailed)
 
 	// Generation 2 resumes from 2 and dies after 2 more (4 durable).
-	c2, fs2, _ := faultServer(t, inner, service.Config{Jobs: 1, Queue: 4})
+	// The fault is armed before the manager starts: the resume begins at
+	// once, and its 4-device suffix could finish before a later arming.
+	fs2 := faultstore.Wrap(inner)
 	fs2.CrashAfterAppends(2)
+	c2, _ := serveFaults(t, fs2, service.Config{Jobs: 1, Queue: 4})
 	failed := waitState(t, c2, st.ID, service.StateFailed)
 	if !failed.Resumed || failed.ResumedFrom != 2 {
 		t.Fatalf("generation-2 job = %+v, want a resume from 2 that crashed again", failed)
@@ -370,7 +383,9 @@ func TestRetentionNeverEvictsResuming(t *testing.T) {
 	c1 := client.New(ts1.URL, ts1.Client())
 
 	e := newBlockEngine(t, "block-resume-retain")
-	req := service.JobRequest{Plan: testPlan(), Devices: 5, Scheme: e.name, Delivery: "ordered", Seed: 4}
+	// One fleet worker: each release completes the next device in order.
+	// With two, a release can reach device 2 before device 1 is done.
+	req := service.JobRequest{Plan: testPlan(), Devices: 5, Scheme: e.name, Delivery: "ordered", Workers: 1, Seed: 4}
 	st, err := c1.Submit(ctx, req)
 	if err != nil {
 		t.Fatal(err)
@@ -485,7 +500,9 @@ func TestReconnectRidesThroughServerRestart(t *testing.T) {
 	c := client.New("http://"+addr, nil)
 
 	e := newBlockEngine(t, "block-reconnect")
-	req := service.JobRequest{Plan: testPlan(), Devices: 5, Scheme: e.name, Delivery: "ordered", Seed: 13}
+	// One fleet worker: each release completes the next device in order.
+	// With two, a release can reach device 2 before device 1 is done.
+	req := service.JobRequest{Plan: testPlan(), Devices: 5, Scheme: e.name, Delivery: "ordered", Workers: 1, Seed: 13}
 	st, err := c.Submit(ctx, req)
 	if err != nil {
 		t.Fatal(err)

@@ -5,10 +5,12 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -119,6 +121,18 @@ func waitState(t *testing.T, c *client.Client, id string, want service.State) se
 	}
 }
 
+// eventually polls cond every 5 ms for up to 10 s and reports whether
+// it came true: for side effects that land just after the state change
+// a test waited on, such as retention evicting a job that just finished.
+func eventually(cond func() bool) bool {
+	for deadline := time.Now().Add(10 * time.Second); !cond(); time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			return false
+		}
+	}
+	return true
+}
+
 // TestSubmitStreamByteIdenticalToLocalRunFleet is the acceptance-
 // criterion test: a fleet job submitted over HTTP with ordered
 // delivery streams NDJSON DeviceResults byte-identical to
@@ -210,8 +224,16 @@ type blockEngine struct {
 	release chan struct{}
 }
 
+// blockEngines numbers block-engine registrations: the engine registry
+// is process-global, so each registration needs a fresh name for the
+// tests to run more than once in one process (go test -count=N).
+var blockEngines atomic.Int64
+
+// newBlockEngine registers a block engine named after name plus a
+// process-unique suffix; requests select it by e.name.
 func newBlockEngine(t *testing.T, name string) blockEngine {
 	t.Helper()
+	name = fmt.Sprintf("%s-%d", name, blockEngines.Add(1))
 	e := blockEngine{name: name, started: make(chan struct{}, 64), release: make(chan struct{})}
 	if err := memtest.RegisterEngine(e); err != nil {
 		t.Fatal(err)

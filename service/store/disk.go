@@ -466,7 +466,16 @@ func (j *diskJob) Read(from, to int, emit func([]byte) error) error {
 	// lock: pread (ReadAt via SectionReader) never touches the
 	// appender's file offset, and an unlinked-but-open spool (a job
 	// evicted during this batch) still reads fine.
-	br := bufio.NewReaderSize(io.NewSectionReader(r, start, end-start), 1<<16)
+	// The reader is pooled and each line is handed out of its buffer
+	// (emitted slices are only valid during emit): a tail follower reads
+	// in small batches, and a fresh 64 KiB reader plus a copy of every
+	// line per batch was the spool's main allocation.
+	br := readerPool.Get().(*bufio.Reader)
+	br.Reset(io.NewSectionReader(r, start, end-start))
+	defer func() {
+		br.Reset(nil)
+		readerPool.Put(br)
+	}()
 	pos := start
 	for i := startLine; i < from; i++ {
 		n, err := discardLine(br)
@@ -475,8 +484,17 @@ func (j *diskJob) Read(from, to int, emit func([]byte) error) error {
 		}
 		pos += n
 	}
+	var long []byte // a line longer than br's buffer, reassembled
 	for i := from; i < to; i++ {
-		line, err := br.ReadBytes('\n')
+		line, err := br.ReadSlice('\n')
+		if err == bufio.ErrBufferFull {
+			long = append(long[:0], line...)
+			for err == bufio.ErrBufferFull {
+				line, err = br.ReadSlice('\n')
+				long = append(long, line...)
+			}
+			line = long
+		}
 		if err != nil {
 			return fmt.Errorf("store: read line %d: %w", i, err)
 		}
@@ -495,6 +513,9 @@ func (j *diskJob) Read(from, to int, emit func([]byte) error) error {
 	j.mu.Unlock()
 	return nil
 }
+
+// readerPool recycles the 64 KiB spool readers Read draws per batch.
+var readerPool = sync.Pool{New: func() any { return bufio.NewReaderSize(nil, 1<<16) }}
 
 // discardLine consumes one whole line (however long) from br and
 // reports how many bytes it spanned, newline included.

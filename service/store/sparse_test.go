@@ -143,3 +143,28 @@ func TestDiskSparseIndexReopen(t *testing.T) {
 	}
 	checkWindow(t, j2, append(lines[:n:n], "post-restart"), n-3, n+1)
 }
+
+// TestDiskReadAllocsPerBatch pins the replay path's allocations: a
+// Read batch costs a constant few allocations however many lines it
+// emits — lines come straight out of a pooled reader's buffer.
+func TestDiskReadAllocsPerBatch(t *testing.T) {
+	lines := sparseLines(600)
+	s, err := store.NewDisk(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	j, err := s.Create("job-000001", []byte(`{}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	appendAll(t, j, lines)
+	emit := func([]byte) error { return nil }
+	if n := testing.AllocsPerRun(20, func() {
+		if err := j.Read(200, 500, emit); err != nil {
+			t.Fatal(err)
+		}
+	}); n > 4 {
+		t.Fatalf("Read of 300 lines: %v allocs, want a constant few", n)
+	}
+}
