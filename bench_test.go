@@ -581,7 +581,19 @@ func BenchmarkRunLargeMemory(b *testing.B) {
 // see the worker pool scale (each worker owns a reusable engine
 // runner, so throughput tracks cores, not allocator pressure).
 func BenchmarkFleetThroughput(b *testing.B) {
-	s, err := memtest.New(memtest.HeterogeneousExample(), memtest.WithSeed(7), memtest.WithDRF())
+	benchFleetThroughput(b, memtest.HeterogeneousExample())
+}
+
+// BenchmarkFleetThroughputPaper16 is BenchmarkFleetThroughput at the
+// paper's scale: the 512x100 benchmark e-SRAM with 256 faults plus
+// DRFs, where a device fails hundreds of cells and the bank pass
+// dominates.
+func BenchmarkFleetThroughputPaper16(b *testing.B) {
+	benchFleetThroughput(b, memtest.Benchmark16())
+}
+
+func benchFleetThroughput(b *testing.B, plan memtest.Plan) {
+	s, err := memtest.New(plan, memtest.WithSeed(7), memtest.WithDRF())
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -5,6 +5,7 @@ import (
 	"math/bits"
 
 	"repro/internal/bitvec"
+	"repro/internal/fault"
 	"repro/internal/march"
 	"repro/internal/serial"
 	"repro/internal/sram"
@@ -31,6 +32,14 @@ import (
 // special and clean bits in ascending order so the failure records
 // stay byte-identical to the per-device path's.
 //
+// A miscompare is recorded for all its failing lanes at once: located
+// holds one lane-mask word per cell of every memory, bit l set once
+// lane l has located that cell, so mism &^ located[cell] is the set of
+// lanes seeing the cell for the first time. Only those lanes append it
+// to their located lists; no lane ever scans its list. The words cover
+// every cell, not only the special ones — under LSB-first delivery
+// clean cells miscompare on every lane.
+//
 // Every lane's Report is byte-identical to what ProposedRunner.Run
 // would produce for that device alone (pinned by the bisd and memtest
 // differential suites). A BankRunner is not safe for concurrent use;
@@ -49,6 +58,10 @@ type BankRunner struct {
 	addrGens []*LocalAddressGenerator
 	written  [][]bitvec.Vector
 	expected [][]bitvec.Vector
+	// located[locBase[i] + phys*c_i + bit] is memory i's lane-mask word
+	// for the cell.
+	located []uint64
+	locBase []int
 	// Per-memory word buffers, refreshed once per element (see
 	// ProposedRunner).
 	spcWord     []bitvec.Vector
@@ -75,7 +88,16 @@ func (r *BankRunner) fit(banks []*sram.MemoryBank, order serial.Order) {
 		cMax = max(cMax, b.C())
 	}
 	if r.bankMatches(r.geomScratch, order) {
+		// Every nonzero located word names a cell that some lane
+		// appended, so the lanes' located lists clear the array in
+		// O(located cells) before the collectors truncate them.
 		for _, c := range r.colls {
+			for i := range c.mems {
+				base, w := r.locBase[i], r.geoms[i].c
+				for _, cell := range c.mems[i].cells {
+					r.located[base+cell.Addr*w+cell.Bit] = 0
+				}
+			}
 			c.reset(r.geoms)
 		}
 		for i := range banks {
@@ -93,7 +115,7 @@ func (r *BankRunner) fit(banks []*sram.MemoryBank, order serial.Order) {
 	r.bgGen = NewBackgroundGenerator(cMax, order)
 	r.colls = make([]*collector, sram.BankLanes)
 	for l := range r.colls {
-		r.colls[l] = newCollector(r.geoms)
+		r.colls[l] = newLaneCollector(r.geoms)
 	}
 	r.spcs = make([]*serial.SPC, len(banks))
 	r.addrGens = make([]*LocalAddressGenerator, len(banks))
@@ -103,7 +125,11 @@ func (r *BankRunner) fit(banks []*sram.MemoryBank, order serial.Order) {
 	r.spcWordInv = make([]bitvec.Vector, len(banks))
 	r.intended = make([]bitvec.Vector, len(banks))
 	r.intendedInv = make([]bitvec.Vector, len(banks))
+	r.locBase = make([]int, len(banks))
+	cells := 0
 	for i, b := range banks {
+		r.locBase[i] = cells
+		cells += b.N() * b.C()
 		r.spcs[i] = serial.NewSPC(b.C())
 		r.addrGens[i] = NewLocalAddressGenerator(b.N())
 		r.written[i] = bitvec.NewMatrix(b.C(), b.N())
@@ -113,6 +139,7 @@ func (r *BankRunner) fit(banks []*sram.MemoryBank, order serial.Order) {
 		r.intended[i] = bitvec.New(b.C())
 		r.intendedInv[i] = bitvec.New(b.C())
 	}
+	r.located = make([]uint64, cells)
 }
 
 func (r *BankRunner) bankMatches(geoms []geometry, order serial.Order) bool {
@@ -299,14 +326,27 @@ func (r *BankRunner) Run(banks []*sram.MemoryBank, lanes int, test march.Test, o
 	return reports, nil
 }
 
-// recordMismatch registers one failing bit for every lane set in mism.
+// recordMismatch registers one failing bit for every lane set in mism:
+// one record, appended to each failing lane, and the cell, appended to
+// the located list of each lane that has not located it yet.
 func (r *BankRunner) recordMismatch(mism uint64, mem, logical, phys, bit, elem, bg, op int) {
-	for mism != 0 {
-		l := bits.TrailingZeros64(mism)
-		mism &= mism - 1
-		r.colls[l].record(FailureRecord{
-			Memory: mem, LogicalAddr: logical, PhysicalAddr: phys,
-			Bit: bit, Element: elem, Background: bg, Op: op,
-		})
+	if mism == 0 {
+		return
+	}
+	k := r.locBase[mem] + phys*r.geoms[mem].c + bit
+	seen := r.located[k]
+	r.located[k] = seen | mism
+	cell := fault.Cell{Addr: phys, Bit: bit}
+	for fresh := mism &^ seen; fresh != 0; fresh &= fresh - 1 {
+		m := &r.colls[bits.TrailingZeros64(fresh)].mems[mem]
+		m.cells = append(m.cells, cell)
+	}
+	rec := FailureRecord{
+		Memory: mem, LogicalAddr: logical, PhysicalAddr: phys,
+		Bit: bit, Element: elem, Background: bg, Op: op,
+	}
+	for ; mism != 0; mism &= mism - 1 {
+		m := &r.colls[bits.TrailingZeros64(mism)].mems[mem]
+		m.recs = append(m.recs, rec)
 	}
 }

@@ -105,29 +105,56 @@ func (r *Report) TotalLocated() int {
 	return n
 }
 
-// collector gathers failure records and produces MemoryResults. Records
-// accumulate in reusable per-memory scratch — the dedup map and direct
-// result appends this replaces paid a hash plus amortized slice growth
-// per record, which dominated the fleet batch path at tens of failures
-// per device and tens of thousands of devices per second — and finish
-// copies exact-size slices for the report to retain.
+// collector gathers failure records and produces MemoryResults.
+// Records and located cells accumulate in reusable per-memory scratch,
+// so a record costs an append and, in the steady state, no allocation;
+// finish copies exact-size slices for the report to retain.
+//
+// Located sets are not small: on the paper's 512x100 e-SRAM with 256
+// faults a device yields ~2,500 records over ~256 located cells, so a
+// list scan per record would cost O(records x located). A per-device
+// collector therefore marks located cells in a bitmap with one bit per
+// cell of the fleet, which reset clears through the located lists in
+// O(located). Bank lanes use lane collectors without the bitmap:
+// BankRunner deduplicates all 64 lanes at once with one lane-mask word
+// per cell and appends only each lane's first-time cells.
 type collector struct {
 	results []MemoryResult
-	// recs is the failure-record scratch, execution order.
-	recs [][]FailureRecord
-	// cells is the located set: unique failing cells, insertion order,
-	// sorted at finish. Uniqueness is a backwards linear scan — located
-	// sets are tiny (roughly the device's fault count) and the same
-	// cell fails in bursts, so the previous record usually matches
-	// immediately.
-	cells [][]fault.Cell
+	mems    []memScratch
+	// seen is the located-set bitmap: memory i's cell (addr, bit) is
+	// bit mems[i].base + addr*c_i + bit. nil on bank lanes.
+	seen []uint64
 }
 
+// memScratch is one memory's reusable record and located-cell scratch.
+type memScratch struct {
+	// recs holds the failure records, execution order.
+	recs []FailureRecord
+	// cells is the located set: unique failing cells, insertion order,
+	// sorted at finish.
+	cells []fault.Cell
+	// base is the memory's first bit in the collector's seen bitmap;
+	// width is its word width c.
+	base, width int
+}
+
+// newCollector returns a collector that deduplicates its located sets
+// itself, for the per-device engines.
 func newCollector(geoms []geometry) *collector {
-	c := &collector{
-		recs:  make([][]FailureRecord, len(geoms)),
-		cells: make([][]fault.Cell, len(geoms)),
+	c := newLaneCollector(geoms)
+	n := 0
+	for i, g := range geoms {
+		c.mems[i].base, c.mems[i].width = n, g.c
+		n += g.n * g.c
 	}
+	c.seen = make([]uint64, (n+63)/64)
+	return c
+}
+
+// newLaneCollector returns an append-only collector for one bank lane:
+// its owner appends each located cell exactly once.
+func newLaneCollector(geoms []geometry) *collector {
+	c := &collector{mems: make([]memScratch, len(geoms))}
 	c.reset(geoms)
 	return c
 }
@@ -139,39 +166,49 @@ func (c *collector) reset(geoms []geometry) {
 	c.results = make([]MemoryResult, len(geoms))
 	for i, g := range geoms {
 		c.results[i] = MemoryResult{Index: i, Words: g.n, Width: g.c}
-		c.recs[i] = c.recs[i][:0]
-		c.cells[i] = c.cells[i][:0]
+		m := &c.mems[i]
+		if c.seen != nil {
+			for _, cell := range m.cells {
+				k := m.base + cell.Addr*m.width + cell.Bit
+				c.seen[k>>6] &^= 1 << uint(k&63)
+			}
+		}
+		m.recs = m.recs[:0]
+		m.cells = m.cells[:0]
 	}
 }
 
 type geometry struct{ n, c int }
 
 func (c *collector) record(rec FailureRecord) {
-	c.recs[rec.Memory] = append(c.recs[rec.Memory], rec)
+	m := &c.mems[rec.Memory]
+	m.recs = append(m.recs, rec)
 	c.recordCell(rec.Memory, fault.Cell{Addr: rec.PhysicalAddr, Bit: rec.Bit})
 }
 
 func (c *collector) recordCell(mem int, cell fault.Cell) {
-	cs := c.cells[mem]
-	for i := len(cs) - 1; i >= 0; i-- {
-		if cs[i] == cell {
-			return
-		}
+	m := &c.mems[mem]
+	k := m.base + cell.Addr*m.width + cell.Bit
+	w, b := k>>6, uint64(1)<<uint(k&63)
+	if c.seen[w]&b != 0 {
+		return
 	}
-	c.cells[mem] = append(cs, cell)
+	c.seen[w] |= b
+	m.cells = append(m.cells, cell)
 }
 
 func (c *collector) finish() []MemoryResult {
 	for i := range c.results {
-		if n := len(c.recs[i]); n > 0 {
+		m := &c.mems[i]
+		if n := len(m.recs); n > 0 {
 			fs := make([]FailureRecord, n)
-			copy(fs, c.recs[i])
+			copy(fs, m.recs)
 			c.results[i].Failures = fs
 		}
-		fault.SortCells(c.cells[i])
+		fault.SortCells(m.cells)
 		// Never nil: an empty located set must still marshal as [].
-		cells := make([]fault.Cell, len(c.cells[i]))
-		copy(cells, c.cells[i])
+		cells := make([]fault.Cell, len(m.cells))
+		copy(cells, m.cells)
 		c.results[i].Located = cells
 	}
 	return c.results

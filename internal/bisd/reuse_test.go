@@ -1,0 +1,108 @@
+package bisd
+
+import (
+	"encoding/json"
+	"testing"
+
+	"repro/internal/fault"
+	"repro/internal/march"
+	"repro/internal/sram"
+)
+
+// TestBankRunnerReuseClearsLocated runs a faulty batch, a clean batch
+// and the faulty batch again on one runner. The lane-mask located
+// words a batch sets must not leak into the next: the clean batch must
+// locate nothing, and the repeat must report exactly what the first
+// run did — with stale words its lanes would see every cell as already
+// located and report empty located sets.
+func TestBankRunnerReuseClearsLocated(t *testing.T) {
+	banks := []*sram.MemoryBank{sram.NewMemoryBank(40, 12), sram.NewMemoryBank(24, 8)}
+	load := func() {
+		for _, b := range banks {
+			b.Reset()
+		}
+		for l := 0; l < sram.BankLanes; l++ {
+			for _, f := range []fault.Fault{
+				{Class: fault.SA0, Victim: fault.Cell{Addr: l % 40, Bit: l % 12}},
+				{Class: fault.SA1, Victim: fault.Cell{Addr: 7, Bit: 3}},
+				{Class: fault.TFUp, Victim: fault.Cell{Addr: (3 * l) % 40, Bit: (l + 5) % 12}},
+			} {
+				if err := banks[0].Inject(l, f); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := banks[1].Inject(l, fault.Fault{Class: fault.SA1,
+				Victim: fault.Cell{Addr: l % 24, Bit: l % 8}}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	r := NewBankRunner()
+	test := march.MarchCW(12)
+	opt := ProposedOptions{ClockNs: 10}
+	run := func() ([]*Report, string) {
+		reps, err := r.Run(banks, sram.BankLanes, test, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		data, err := json.Marshal(reps)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return reps, string(data)
+	}
+
+	load()
+	reps, first := run()
+	for l, rep := range reps {
+		if rep.TotalLocated() == 0 {
+			t.Fatalf("faulty batch lane %d located nothing; the test is vacuous", l)
+		}
+	}
+
+	for _, b := range banks {
+		b.Reset()
+	}
+	reps, _ = run()
+	for l, rep := range reps {
+		if n := rep.TotalLocated(); n != 0 {
+			t.Fatalf("clean batch lane %d located %d cells, want 0", l, n)
+		}
+	}
+
+	load()
+	if _, again := run(); again != first {
+		t.Fatalf("faulty batch after a clean one differs from its first run:\nfirst: %.300s\nagain: %.300s", first, again)
+	}
+}
+
+// TestProposedRunnerReuseAfterFaultyRun is the per-device half: a
+// ProposedRunner reused after a faulty run must clear its located-set
+// bitmap, or the repeat finds every cell already located.
+func TestProposedRunnerReuseAfterFaultyRun(t *testing.T) {
+	build := func() []*sram.Memory {
+		a, b := sram.New(32, 8), sram.New(16, 6)
+		mustInject(t, a, fault.Fault{Class: fault.SA0, Victim: fault.Cell{Addr: 3, Bit: 1}})
+		mustInject(t, a, fault.Fault{Class: fault.TFUp, Victim: fault.Cell{Addr: 20, Bit: 7}})
+		mustInject(t, b, fault.Fault{Class: fault.SA1, Victim: fault.Cell{Addr: 9, Bit: 5}})
+		return []*sram.Memory{a, b}
+	}
+	runner := NewProposedRunner()
+	run := func() string {
+		rep, err := runner.Run(build(), march.MarchCW(8), ProposedOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.TotalLocated() != 3 {
+			t.Fatalf("located %d cells, want 3", rep.TotalLocated())
+		}
+		data, err := json.Marshal(rep)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(data)
+	}
+	if first, again := run(), run(); again != first {
+		t.Fatalf("reused runner differs from its first run:\nfirst: %s\nagain: %s", first, again)
+	}
+}

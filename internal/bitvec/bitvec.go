@@ -76,6 +76,11 @@ func (v Vector) Get(i int) bool {
 	return v.words[i/64]&(1<<uint(i%64)) != 0
 }
 
+// Words returns v's backing words: bit i is bit i%64 of word i/64. The
+// slice aliases v and must not be modified; it lets hot loops read many
+// bits without a bounds-checked Get per bit.
+func (v Vector) Words() []uint64 { return v.words }
+
 // Set sets the bit at position i to b. It panics if i is out of range.
 func (v Vector) Set(i int, b bool) {
 	v.check(i)

@@ -56,6 +56,10 @@ type MemoryBank struct {
 	drfs      []bankDRF
 
 	retentionMs float64
+	// held is set by the first Hold since Reset. Retention timers only
+	// accumulate in Hold, so until then every timer is zero and writes
+	// skip resetting them — the NWRTM schedule never holds at all.
+	held bool
 
 	// Per-write transition scratch for single-level coupling
 	// propagation.
@@ -153,6 +157,7 @@ func (b *MemoryBank) Reset() {
 	b.couplings = b.couplings[:0]
 	b.cfsts = b.cfsts[:0]
 	b.drfs = b.drfs[:0]
+	b.held = false
 }
 
 // cellAt returns the index into cells of the cell's lane state,
@@ -334,11 +339,12 @@ func (b *MemoryBank) write(addr int, w bitvec.Vector, nwrc bool) {
 	b.transMask = b.transMask[:0]
 	b.transNew = b.transNew[:0]
 	base := int32(addr * b.c)
+	ws := w.Words()
 	for _, bit := range rs {
 		cell := base + bit
 		cs := &b.cells[b.cellIdx[cell]]
 		cur := b.data[cell]
-		v := w.Get(int(bit))
+		v := ws[bit>>6]>>uint(bit&63)&1 != 0
 		// Lanes whose cell is immovable for this write: stuck-at always,
 		// the blocked transition direction for TF, and the NWRC-blocked
 		// flip to a DRF's vulnerable value.
@@ -380,8 +386,9 @@ func (b *MemoryBank) write(addr int, w bitvec.Vector, nwrc bool) {
 		b.data[cell] = next
 		// Every write to a DRF cell resets its retention timer, even a
 		// value-preserving one — except the NWRC-blocked flip, which
-		// never reaches the cell.
-		if cs.drf != 0 {
+		// never reaches the cell. Before the first Hold every timer is
+		// already zero.
+		if cs.drf != 0 && b.held {
 			for di := cs.drfHead; di >= 0; di = b.drfs[di].next {
 				if nwrcBlocked>>b.drfs[di].lane&1 == 0 {
 					b.drfs[di].timer = 0
@@ -550,6 +557,7 @@ func (b *MemoryBank) Hold(ms float64) {
 	if ms <= 0 {
 		return
 	}
+	b.held = true
 	for i := range b.drfs {
 		d := &b.drfs[i]
 		lb := uint64(1) << d.lane

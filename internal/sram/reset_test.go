@@ -178,3 +178,41 @@ func TestReadIntoRejectsWidthMismatch(t *testing.T) {
 	}()
 	New(8, 4).ReadInto(0, bitvec.New(5))
 }
+
+// TestBankReuseAcrossResetRestartsDRFTimers pins the write kernel's
+// skip of retention-timer resets before a bank's first Hold: after a
+// Hold and a Reset, a reused bank must still reset a DRF's timer on
+// every write once it holds again. Two sub-threshold holds separated
+// by a write must not fire the DRF, on the bank as on the per-device
+// Memory. FuzzMemoryBank always starts from a fresh bank, so it never
+// covers this reuse.
+func TestBankReuseAcrossResetRestartsDRFTimers(t *testing.T) {
+	const n, c, lane = 4, 6, 5
+	hold := DefaultRetentionThresholdMs * 0.6 // two holds cross the threshold
+	drf := fault.Fault{Class: fault.DRF, Victim: fault.Cell{Addr: 2, Bit: 3}, Value: true}
+	ones := bitvec.Solid(c, true)
+
+	b := NewMemoryBank(n, c)
+	b.Hold(hold)
+	b.Reset()
+	if err := b.Inject(lane, drf); err != nil {
+		t.Fatal(err)
+	}
+	ref := New(n, c)
+	if err := ref.Inject(drf); err != nil {
+		t.Fatal(err)
+	}
+	for range 2 {
+		b.Write(2, ones)
+		ref.Write(2, ones)
+		b.Hold(hold)
+		ref.Hold(hold)
+	}
+	if !ref.ReadBit(2, 3) {
+		t.Fatal("reference Memory lost the DRF value; the test no longer exercises the timer reset")
+	}
+	if v, special := b.PeekLane(2, 3, lane); !special || !v {
+		t.Fatalf("reused bank lane %d cell 2.3 = %v (special %v), want true: the write did not restart the DRF timer",
+			lane, v, special)
+	}
+}

@@ -112,6 +112,9 @@ func TestBankedFleetDifferential(t *testing.T) {
 		{"mostly_clean", cleanDiffPlan(), 65, []Option{WithSeed(11), WithWorkers(4)}},
 		{"unordered", diffPlan(), 65, []Option{WithSeed(12), WithDRF(), WithWorkers(4),
 			WithFleetDelivery(Unordered)}},
+		// Paper scale: 256 faults per device, so every lane fails
+		// hundreds of cells, each many times over the schedule.
+		{"paper16_drf", Benchmark16(), 65, []Option{WithSeed(13), WithDRF(), WithWorkers(2)}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
