@@ -24,7 +24,7 @@
 // -data-dir the coordinator's own restart recovers the shard table and
 // re-merges only the missing suffix. Workers must run with crash
 // resume enabled (their default); reachable workers that report
-// resume disabled or unordered delivery are refused at startup.
+// resume disabled are refused at startup.
 //
 // The -worker flags only seed the fleet: membership is mutable at
 // runtime via POST/DELETE /v1/workers (GET lists the cached view), so

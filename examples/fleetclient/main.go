@@ -1,8 +1,7 @@
 // Fleet diagnosis over the wire: submit a heterogeneous-SoC fleet job
-// to a memtestd server and tail its NDJSON result stream — devices
-// arrive as their workers finish (unordered delivery), not in index
-// order. The example then demonstrates one-shot diagnosis and
-// cancelling a large job mid-stream via DELETE.
+// to a memtestd server and tail its NDJSON result stream, which
+// arrives in device order. The example then demonstrates one-shot
+// diagnosis and cancelling a large job mid-stream via DELETE.
 //
 // By default it self-hosts a server in-process so it runs standalone:
 //
@@ -67,8 +66,8 @@ func main() {
 	}
 	fmt.Printf("submitted %s: plan=%s scheme=%s devices=%d\n", st.ID, st.Plan, st.Scheme, st.Devices)
 
-	// Tail the stream: unordered delivery means the device indices
-	// interleave with worker scheduling.
+	// Tail the stream: devices arrive in index order at any worker
+	// count, so the same seed prints the same lines.
 	seen := 0
 	for dr, err := range c.Results(ctx, st.ID) {
 		if err != nil {

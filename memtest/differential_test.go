@@ -2,7 +2,6 @@ package memtest
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"runtime"
 	"testing"
@@ -46,30 +45,6 @@ func cleanDiffPlan() Plan {
 	}
 }
 
-// fleetLines streams a fleet and returns the per-device JSON lines
-// keyed by device index, tolerating unordered delivery.
-func fleetLines(t *testing.T, s *Session, devices int) map[int]string {
-	t.Helper()
-	got := make(map[int]string, devices)
-	for dr, err := range s.RunFleet(context.Background(), devices) {
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, dup := got[dr.Device]; dup {
-			t.Fatalf("device %d yielded twice", dr.Device)
-		}
-		data, err := json.Marshal(dr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got[dr.Device] = string(data)
-	}
-	if len(got) != devices {
-		t.Fatalf("stream yielded %d devices, want %d", len(got), devices)
-	}
-	return got
-}
-
 // diffFleets runs the same plan+options once banked and once per-device
 // and requires byte-identical DeviceResult JSON for every device.
 func diffFleets(t *testing.T, plan Plan, devices int, opts ...Option) {
@@ -86,8 +61,8 @@ func diffFleets(t *testing.T, plan Plan, devices int, opts ...Option) {
 		t.Fatal(err)
 	}
 	ref.noBatch = true
-	want := fleetLines(t, ref, devices)
-	got := fleetLines(t, banked, devices)
+	want := collectFleet(t, ref, devices)
+	got := collectFleet(t, banked, devices)
 	for d := 0; d < devices; d++ {
 		if got[d] != want[d] {
 			t.Fatalf("banked device %d differs from per-device path:\nbanked:  %s\nperdev:  %s",
@@ -110,8 +85,6 @@ func TestBankedFleetDifferential(t *testing.T) {
 		{"mix_lsb_hazard", diffPlan(), 65, []Option{WithSeed(10), WithDRF(), WithWorkers(4),
 			WithDeliveryOrder(LSBFirst)}},
 		{"mostly_clean", cleanDiffPlan(), 65, []Option{WithSeed(11), WithWorkers(4)}},
-		{"unordered", diffPlan(), 65, []Option{WithSeed(12), WithDRF(), WithWorkers(4),
-			WithFleetDelivery(Unordered)}},
 		// Paper scale: 256 faults per device, so every lane fails
 		// hundreds of cells, each many times over the schedule.
 		{"paper16_drf", Benchmark16(), 65, []Option{WithSeed(13), WithDRF(), WithWorkers(2)}},
@@ -136,15 +109,10 @@ func TestBankedFleetDifferentialDeviceCounts(t *testing.T) {
 
 // TestBankedFleetDifferentialWorkerCounts pins that batch claiming —
 // workers grab 64-device windows from a shared counter — stays
-// byte-identical to the per-device path at every pool size, in both
-// delivery modes.
+// byte-identical to the per-device path at every pool size.
 func TestBankedFleetDifferentialWorkerCounts(t *testing.T) {
 	for _, workers := range []int{1, 4, runtime.GOMAXPROCS(0)} {
-		for _, delivery := range []FleetDelivery{Ordered, Unordered} {
-			opts := []Option{WithSeed(5), WithDRF(), WithWorkers(workers),
-				WithFleetDelivery(delivery)}
-			diffFleets(t, diffPlan(), 130, opts...)
-		}
+		diffFleets(t, diffPlan(), 130, WithSeed(5), WithDRF(), WithWorkers(workers))
 	}
 }
 
@@ -176,8 +144,8 @@ func TestBankedFleetForcedDivergence(t *testing.T) {
 				t.Fatal(err)
 			}
 			ref.noBatch = true
-			want := fleetLines(t, ref, 70)
-			got := fleetLines(t, banked, 70)
+			want := collectFleet(t, ref, 70)
+			got := collectFleet(t, banked, 70)
 			for d := 0; d < 70; d++ {
 				if got[d] != want[d] {
 					t.Fatalf("diverged device %d differs:\nbanked:  %s\nperdev:  %s",
@@ -269,7 +237,7 @@ func TestBankedFleetObserverSeesEveryDevice(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fleetLines(t, s, devices)
+	collectFleet(t, s, devices)
 	for d, n := range seen {
 		if n != 1 {
 			t.Fatalf("observer fired %d times for device %d", n, d)

@@ -51,39 +51,6 @@ func ExampleSession_Run() {
 	// dmadesc: 1/1
 }
 
-// ExampleNew_unordered streams a fleet with unordered delivery: each
-// device's result is yielded the moment its worker finishes instead of
-// being held for device order. With a single worker the interleaving
-// is deterministic (devices run sequentially), which keeps this
-// example runnable; at real worker counts the order varies with
-// scheduling while the per-device payloads stay byte-identical.
-func ExampleNew_unordered() {
-	plan := memtest.Plan{
-		Name:    "doc-unordered",
-		ClockNs: 10,
-		Memories: []memtest.MemorySpec{
-			{Name: "buf", Words: 16, Width: 4, DefectRate: 0.05, Seed: 1},
-		},
-	}
-	s, err := memtest.New(plan,
-		memtest.WithFleetDelivery(memtest.Unordered),
-		memtest.WithWorkers(1),
-		memtest.WithSeed(7))
-	if err != nil {
-		log.Fatal(err)
-	}
-	for dr, err := range s.RunFleet(context.Background(), 3) {
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("device %d: %d memories diagnosed\n", dr.Device, len(dr.Result.Memories))
-	}
-	// Output:
-	// device 0: 1 memories diagnosed
-	// device 1: 1 memories diagnosed
-	// device 2: 1 memories diagnosed
-}
-
 // ExampleCompare reproduces the paper's central comparison on a small
 // fleet: the proposed scheme against the [7,8] baseline.
 func ExampleCompare() {

@@ -7,9 +7,11 @@ import (
 	"runtime"
 	"sync"
 	"testing"
+	"time"
 )
 
-// collectFleet drains a RunFleet stream into JSON lines for comparison.
+// collectFleet drains a RunFleet stream into JSON lines for comparison,
+// checking it yields exactly devices [0, devices) in order.
 func collectFleet(t *testing.T, s *Session, devices int) []string {
 	t.Helper()
 	var lines []string
@@ -25,6 +27,9 @@ func collectFleet(t *testing.T, s *Session, devices int) []string {
 			t.Fatal(err)
 		}
 		lines = append(lines, string(data))
+	}
+	if len(lines) != devices {
+		t.Fatalf("stream yielded %d devices, want %d", len(lines), devices)
 	}
 	return lines
 }
@@ -123,38 +128,112 @@ func TestRunFleetRangeEmptyAndInvalid(t *testing.T) {
 	}
 }
 
-func TestRunFleetRangeUnorderedSuffix(t *testing.T) {
-	const devices, lo = 10, 4
-	ordered, err := New(smallPlan(), WithSeed(9), WithWorkers(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := collectFleet(t, ordered, devices)
-	unordered, err := New(smallPlan(), WithSeed(9), WithWorkers(3), WithFleetDelivery(Unordered))
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := map[int]string{}
-	for dr, err := range unordered.RunFleetRange(context.Background(), lo, devices) {
-		if err != nil {
-			t.Fatal(err)
-		}
-		if dr.Device < lo || dr.Device >= devices {
-			t.Fatalf("device %d outside [%d, %d)", dr.Device, lo, devices)
-		}
-		if _, dup := got[dr.Device]; dup {
-			t.Fatalf("device %d yielded twice", dr.Device)
-		}
-		data, _ := json.Marshal(dr)
-		got[dr.Device] = string(data)
-	}
-	if len(got) != devices-lo {
-		t.Fatalf("unordered suffix yielded %d devices, want %d", len(got), devices-lo)
-	}
-	for d := lo; d < devices; d++ {
-		if got[d] != want[d] {
-			t.Fatalf("unordered suffix device %d differs from full ordered run", d)
-		}
+// TestRunFleetRangeReorderWindow pins the reorder bound: while the
+// device the stream is waiting on is stuck, workers run at most
+// reorderWindow(workers) claims ahead of it, so no device at or past
+// lo + window is diagnosed until the stuck one is released — and the
+// released stream is still byte-identical to an unobstructed run.
+func TestRunFleetRangeReorderWindow(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		batch bool
+	}{{"batch", true}, {"per_device", false}} {
+		t.Run(tc.name, func(t *testing.T) {
+			const workers, lo = 2, 5
+			step := 1
+			if tc.batch {
+				e, err := LookupEngine("proposed")
+				if err != nil {
+					t.Fatal(err)
+				}
+				step = e.(BatchEngine).NewBatchRunner().Lanes()
+			}
+			window := reorderWindow(workers) * step
+			hi := lo + window + 2*step
+
+			// The observer sticks on device lo. Every other device of
+			// the window — [lo+step, lo+window), the claims after the
+			// stuck one — must still be diagnosed, and none past it.
+			release, filled := make(chan struct{}), make(chan struct{})
+			var mu sync.Mutex
+			inWindow, over := 0, 0
+			s, err := New(smallPlan(), WithSeed(4), WithWorkers(workers),
+				WithDeviceObserver(func(d int) {
+					mu.Lock()
+					switch {
+					case d >= lo+window:
+						over++
+					case d >= lo+step:
+						if inWindow++; inWindow == window-step {
+							close(filled)
+						}
+					}
+					mu.Unlock()
+					if d == lo {
+						<-release
+					}
+				}))
+			if err != nil {
+				t.Fatal(err)
+			}
+			s.noBatch = !tc.batch
+
+			ref, err := New(smallPlan(), WithSeed(4), WithWorkers(workers))
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := collectRange(t, ref, lo, hi)
+
+			type line struct {
+				data string
+				err  error
+			}
+			stream := make(chan line, hi-lo)
+			go func() {
+				defer close(stream)
+				for dr, err := range s.RunFleetRange(context.Background(), lo, hi) {
+					data, _ := json.Marshal(dr)
+					stream <- line{string(data), err}
+				}
+			}()
+			unblock := sync.OnceFunc(func() { close(release) })
+			defer func() {
+				unblock()
+				for range stream {
+				}
+			}()
+
+			select {
+			case <-filled:
+			case <-time.After(10 * time.Second):
+				t.Fatalf("window [%d, %d) never filled while device %d was stuck", lo+step, lo+window, lo)
+			}
+			// A worker that would overrun the window gets time to do so.
+			time.Sleep(50 * time.Millisecond)
+			mu.Lock()
+			n := over
+			mu.Unlock()
+			if n > 0 {
+				t.Fatalf("%d devices at or past %d diagnosed while device %d was stuck", n, lo+window, lo)
+			}
+
+			unblock()
+			var got []string
+			for l := range stream {
+				if l.err != nil {
+					t.Fatal(l.err)
+				}
+				got = append(got, l.data)
+			}
+			if len(got) != len(want) {
+				t.Fatalf("released stream yielded %d devices, want %d", len(got), len(want))
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("device %d differs from the unobstructed run", lo+i)
+				}
+			}
+		})
 	}
 }
 
@@ -249,85 +328,6 @@ func TestRunFleetConcurrentStreams(t *testing.T) {
 				t.Fatalf("concurrent stream %d differs at device %d", g, d)
 			}
 		}
-	}
-}
-
-func TestRunFleetUnorderedSameResultSet(t *testing.T) {
-	const devices = 12
-	ordered, err := New(smallPlan(), WithSeed(7), WithWorkers(4), WithDRF())
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := collectFleet(t, ordered, devices)
-
-	unordered, err := New(smallPlan(), WithSeed(7), WithWorkers(4), WithDRF(),
-		WithFleetDelivery(Unordered))
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := make(map[int]string, devices)
-	for dr, err := range unordered.RunFleet(context.Background(), devices) {
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, dup := got[dr.Device]; dup {
-			t.Fatalf("device %d yielded twice", dr.Device)
-		}
-		data, err := json.Marshal(dr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got[dr.Device] = string(data)
-	}
-	if len(got) != devices {
-		t.Fatalf("unordered stream yielded %d devices, want %d", len(got), devices)
-	}
-	// Re-keyed by device index, the unordered stream must be
-	// byte-identical to the ordered one: same seeds, same payloads.
-	for d, line := range want {
-		if got[d] != line {
-			t.Fatalf("unordered device %d differs from ordered run:\n%s\nvs\n%s", d, got[d], line)
-		}
-	}
-}
-
-func TestRunFleetUnorderedCancellation(t *testing.T) {
-	s, err := New(smallPlan(), WithWorkers(2), WithFleetDelivery(Unordered))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	yielded := 0
-	var streamErr error
-	for _, err := range s.RunFleet(ctx, 500) {
-		if err != nil {
-			streamErr = err
-			break
-		}
-		yielded++
-		cancel()
-	}
-	if !errors.Is(streamErr, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", streamErr)
-	}
-	if yielded >= 500 {
-		t.Fatalf("yielded all %d devices despite cancellation", yielded)
-	}
-}
-
-func TestFleetDeliveryParseRoundTrip(t *testing.T) {
-	for _, d := range []FleetDelivery{Ordered, Unordered} {
-		got, err := ParseFleetDelivery(d.String())
-		if err != nil || got != d {
-			t.Fatalf("ParseFleetDelivery(%q) = %v, %v", d.String(), got, err)
-		}
-	}
-	if _, err := ParseFleetDelivery("bogus"); !errors.Is(err, ErrBadFleetDelivery) {
-		t.Fatalf("err = %v, want ErrBadFleetDelivery", err)
-	}
-	if _, err := New(smallPlan(), WithFleetDelivery(FleetDelivery(42))); !errors.Is(err, ErrBadFleetDelivery) {
-		t.Fatalf("err = %v, want ErrBadFleetDelivery", err)
 	}
 }
 

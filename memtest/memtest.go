@@ -67,8 +67,6 @@ var (
 	ErrBadDeviceCount = errors.New("memtest: device count must be positive")
 	// ErrBadDeviceRange reports a RunFleetRange with lo < 0 or hi < lo.
 	ErrBadDeviceRange = errors.New("memtest: invalid device range")
-	// ErrBadFleetDelivery reports an unknown fleet-delivery mode.
-	ErrBadFleetDelivery = errors.New("memtest: invalid fleet delivery mode")
 )
 
 // Cell identifies one memory cell by word address and bit position. It

@@ -6,7 +6,6 @@ import (
 	"iter"
 	"runtime"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/fault"
 	"repro/internal/repair"
@@ -19,14 +18,13 @@ import (
 // (RunFleet) but Run/RunAll store the last report for Trace access and
 // should not race with each other.
 type Session struct {
-	plan     Plan
-	engine   Engine
-	eopt     EngineOptions
-	budget   Budget
-	workers  int
-	seed     int64
-	seedSet  bool
-	delivery FleetDelivery
+	plan    Plan
+	engine  Engine
+	eopt    EngineOptions
+	budget  Budget
+	workers int
+	seed    int64
+	seedSet bool
 
 	report *Report // last single-run report, for evaluate/Trace
 	// runner, when non-nil, executes the engine with reusable state;
@@ -133,57 +131,6 @@ func WithTrace(r *TraceRecorder) Option {
 func WithDeliveryOrder(o Order) Option {
 	return func(s *Session) error {
 		s.eopt.DeliveryOrder = o
-		return nil
-	}
-}
-
-// FleetDelivery selects how RunFleet orders its result stream.
-type FleetDelivery int
-
-const (
-	// Ordered (the default) yields results strictly in device order:
-	// the stream is deterministic at any worker count, at the cost of
-	// head-of-line buffering while a slow device blocks faster ones.
-	Ordered FleetDelivery = iota
-	// Unordered yields each device's result as soon as its worker
-	// finishes — the latency-sensitive streaming mode network
-	// consumers use. The result set is identical to Ordered (same
-	// per-device seeds and payloads); only the interleaving varies
-	// with worker scheduling.
-	Unordered
-)
-
-// String returns the wire name of the delivery mode.
-func (d FleetDelivery) String() string {
-	switch d {
-	case Ordered:
-		return "ordered"
-	case Unordered:
-		return "unordered"
-	}
-	return fmt.Sprintf("FleetDelivery(%d)", int(d))
-}
-
-// ParseFleetDelivery resolves the wire names "ordered" and "unordered";
-// it fails with ErrBadFleetDelivery for anything else.
-func ParseFleetDelivery(s string) (FleetDelivery, error) {
-	switch s {
-	case "ordered":
-		return Ordered, nil
-	case "unordered":
-		return Unordered, nil
-	}
-	return Ordered, fmt.Errorf("%w: %q", ErrBadFleetDelivery, s)
-}
-
-// WithFleetDelivery selects Ordered (the default) or Unordered RunFleet
-// result delivery.
-func WithFleetDelivery(d FleetDelivery) Option {
-	return func(s *Session) error {
-		if d != Ordered && d != Unordered {
-			return fmt.Errorf("%w: %d", ErrBadFleetDelivery, int(d))
-		}
-		s.delivery = d
 		return nil
 	}
 }
@@ -360,11 +307,10 @@ type DeviceResult struct {
 // independent, deterministically seeded defect population (device d
 // mixes the session seed with d, so results are reproducible at any
 // worker count). Devices fan out across a worker pool (WithWorkers,
-// default GOMAXPROCS) and results stream back without materializing
-// the whole fleet: in device order by default, or as each worker
-// finishes under WithFleetDelivery(Unordered). On cancellation the
-// stream ends with ctx.Err() after at most the in-flight devices'
-// work. RunFleet is the full range [0, devices) of RunFleetRange.
+// default GOMAXPROCS) and results stream back in device order without
+// materializing the whole fleet. On cancellation the stream ends with
+// ctx.Err() after at most the in-flight devices' work. RunFleet is the
+// full range [0, devices) of RunFleetRange.
 func (s *Session) RunFleet(ctx context.Context, devices int) iter.Seq2[DeviceResult, error] {
 	return func(yield func(DeviceResult, error) bool) {
 		if devices <= 0 {
@@ -384,6 +330,12 @@ func (s *Session) RunFleet(ctx context.Context, devices int) iter.Seq2[DeviceRes
 // completed by re-running only the missing range. An empty range
 // (lo == hi) yields nothing and returns immediately; lo < 0 or
 // hi < lo fails with ErrBadDeviceRange.
+//
+// The stream is strictly in device order. Workers claim devices in
+// order and keep at most reorderWindow(workers) claims in flight,
+// counting the one that holds the device being yielded, so a slow
+// device holds back a bounded number of finished results, never the
+// rest of the range.
 func (s *Session) RunFleetRange(ctx context.Context, lo, hi int) iter.Seq2[DeviceResult, error] {
 	return func(yield func(DeviceResult, error) bool) {
 		if lo < 0 || hi < lo {
@@ -393,7 +345,6 @@ func (s *Session) RunFleetRange(ctx context.Context, lo, hi int) iter.Seq2[Devic
 		if lo == hi {
 			return
 		}
-		devices := hi - lo
 		// A private cancel releases the workers when the consumer stops
 		// iterating early, so no goroutine outlives the stream.
 		ctx, cancel := context.WithCancel(ctx)
@@ -402,13 +353,40 @@ func (s *Session) RunFleetRange(ctx context.Context, lo, hi int) iter.Seq2[Devic
 		if workers < 1 {
 			workers = runtime.GOMAXPROCS(0)
 		}
-		if workers > devices {
-			workers = devices
+		workers = min(workers, hi-lo)
+
+		// tokens holds one entry per claim in flight, counting the one
+		// being yielded, so its capacity is the reorder window. Claims
+		// enter queue in device order under claimMu; queue has room for
+		// every token, so that send never blocks.
+		tokens := make(chan struct{}, reorderWindow(workers))
+		queue := make(chan fleetClaim, cap(tokens))
+		var claimMu sync.Mutex
+		next := lo
+		claim := func(step int) (fleetClaim, bool) {
+			// Sends to a claim never block, so a worker would otherwise
+			// keep its processor, and the stream it just woke would
+			// wait for a preemption while finished results pile up to
+			// the window. Yielding first lets the stream drain them.
+			runtime.Gosched()
+			select {
+			case tokens <- struct{}{}:
+			case <-ctx.Done():
+				return fleetClaim{}, false
+			}
+			claimMu.Lock()
+			defer claimMu.Unlock()
+			if next >= hi || ctx.Err() != nil {
+				<-tokens
+				return fleetClaim{}, false
+			}
+			c := fleetClaim{lo: next, n: min(step, hi-next)}
+			c.out = make(chan fleetMsg, c.n)
+			next += c.n
+			queue <- c
+			return c, true
 		}
 
-		results := make(chan fleetMsg, workers)
-		var next atomic.Int64
-		next.Store(int64(lo))
 		var wg sync.WaitGroup
 		// Each worker owns a shallow Session copy so per-run state
 		// (report caching, trace) never races across devices, plus —
@@ -441,111 +419,91 @@ func (s *Session) RunFleetRange(ctx context.Context, lo, hi int) iter.Seq2[Devic
 				// cannot realistically fail; a nil builder just falls
 				// back to per-device fresh builds.
 				local.builder, _ = s.plan.newFleetBuilder()
-				send := func(device int, res *Result, err error) bool {
-					select {
-					case results <- fleetMsg{device, res, err}:
-						return true
-					case <-ctx.Done():
-						return false
-					}
-				}
 				if batcher != nil {
 					br := batcher.NewBatchRunner()
-					lanes := br.Lanes()
 					for {
-						d0 := int(next.Add(int64(lanes))) - lanes
-						if d0 >= hi || ctx.Err() != nil {
-							return
-						}
-						size := lanes
-						if hi-d0 < size {
-							size = hi - d0
-						}
-						if !local.runBatch(ctx, br, d0, size, send) {
+						c, ok := claim(br.Lanes())
+						if !ok || !local.runBatch(ctx, br, c.lo, c.n, c.out) {
 							return
 						}
 					}
 				}
 				for {
-					d := int(next.Add(1)) - 1
-					if d >= hi || ctx.Err() != nil {
+					c, ok := claim(1)
+					if !ok {
 						return
 					}
-					f, rep, err := local.runOnce(ctx, deviceSeed(s.seed, d), true)
+					f, rep, err := local.runOnce(ctx, deviceSeed(s.seed, c.lo), true)
 					var res *Result
 					if err == nil {
 						res = local.resultFrom(f, rep)
 						if local.observe != nil {
-							local.observe(d)
+							local.observe(c.lo)
 						}
 					}
-					if !send(d, res, err) {
-						return
-					}
+					c.out <- fleetMsg{res, err}
 				}
 			}()
 		}
 		done := make(chan struct{})
 		go func() { wg.Wait(); close(done) }()
+		cancelled := func() {
+			<-done // workers exit on ctx; don't leak them
+			yield(DeviceResult{}, ctx.Err())
+		}
 
-		if s.delivery == Unordered {
-			// Unordered: yield each device the moment its worker
-			// delivers it — minimum latency, scheduling-dependent
-			// interleaving.
-			for yielded := 0; yielded < devices; yielded++ {
+		for d := lo; d < hi; {
+			var c fleetClaim
+			select {
+			case c = <-queue:
+			case <-ctx.Done():
+				cancelled()
+				return
+			}
+			for ; d < c.lo+c.n; d++ {
 				select {
-				case r := <-results:
-					if r.err != nil {
-						yield(DeviceResult{Device: r.device}, r.err)
+				case m := <-c.out:
+					if m.err != nil {
+						yield(DeviceResult{Device: d}, m.err)
 						return
 					}
-					if !yield(DeviceResult{Device: r.device, Seed: deviceSeed(s.seed, r.device), Result: r.res}, nil) {
+					if !yield(DeviceResult{Device: d, Seed: deviceSeed(s.seed, d), Result: m.res}, nil) {
 						return
 					}
 				case <-ctx.Done():
-					<-done // workers exit on ctx; don't leak them
-					yield(DeviceResult{}, ctx.Err())
+					cancelled()
 					return
 				}
 			}
-			return
-		}
-
-		// Reorder: yield strictly in device order so the stream is
-		// deterministic regardless of worker scheduling.
-		pending := make(map[int]fleetMsg)
-		nextYield := lo
-		for nextYield < hi {
-			if sl, ok := pending[nextYield]; ok {
-				delete(pending, nextYield)
-				if sl.err != nil {
-					yield(DeviceResult{Device: nextYield}, sl.err)
-					return
-				}
-				if !yield(DeviceResult{Device: nextYield, Seed: deviceSeed(s.seed, nextYield), Result: sl.res}, nil) {
-					return
-				}
-				nextYield++
-				continue
-			}
-			select {
-			case r := <-results:
-				pending[r.device] = r
-			case <-ctx.Done():
-				<-done // workers exit on ctx; don't leak them
-				yield(DeviceResult{}, ctx.Err())
-				return
-			}
+			<-tokens
 		}
 	}
 }
 
+// reorderWindow is how many claims — bit-sliced batches, or single
+// devices on the per-device path — RunFleetRange keeps in flight: the
+// one holding the next device to yield plus the ones behind it. A
+// worker that finds the window full waits for the stream to catch up,
+// which bounds the finished results a slow device can hold back. Two
+// claims per worker let each worker finish one claim and start the
+// next while the stream drains, so a stream that keeps up never
+// throttles the pool.
+func reorderWindow(workers int) int { return 2 * workers }
+
+// fleetClaim is one worker claim in flight: devices [lo, lo+n) and the
+// channel their outcomes arrive on, in device order. out has room for
+// all n, so a worker never blocks on delivery.
+type fleetClaim struct {
+	lo, n int
+	out   chan fleetMsg
+}
+
 // fleetMsg is one device's outcome in flight from a fleet worker to
-// the delivery goroutine.
+// the delivery goroutine; its device is implied by its position in
+// the claim.
 type fleetMsg struct {
-	device int
-	res    *Result
-	err    error
+	res *Result
+	err error
 }
 
 // buildDevice builds one device's fleet on the worker's recycled
@@ -563,16 +521,16 @@ func (s *Session) buildDevice(base int64) (*Fleet, error) {
 // staged into lane d-d0; one RunBatch pass then produces every lane's
 // report. Lanes the batch cannot model — unbankable fault classes, or
 // a test-injected divergence — are re-diagnosed on the per-device slow
-// path, reusing the worker's pooled builder and runner. Results are
-// sent in ascending device order; on a build/load error, the already
-// staged lanes still run and deliver (ordered delivery would otherwise
-// deadlock waiting on them) before the failing device's error is sent.
-// It reports whether the worker should keep claiming batches.
-func (s *Session) runBatch(ctx context.Context, br BatchRunner, d0, size int, send func(int, *Result, error) bool) bool {
+// path, reusing the worker's pooled builder and runner. Outcomes go
+// to out in ascending device order, so an error stands in for the
+// device it belongs to; on a build/load error, the already staged lanes
+// still run and deliver (the ordered stream would otherwise wait on
+// them forever) before the failing device's error is sent. It reports
+// whether the worker should keep claiming batches.
+func (s *Session) runBatch(ctx context.Context, br BatchRunner, d0, size int, out chan<- fleetMsg) bool {
 	truths := s.truthBuf[:0]
 	var divergent uint64
-	loadErr := error(nil)
-	errDev := -1
+	var loadErr error
 	for l := 0; l < size; l++ {
 		d := d0 + l
 		f, err := s.buildDevice(deviceSeed(s.seed, d))
@@ -584,7 +542,7 @@ func (s *Session) runBatch(ctx context.Context, br BatchRunner, d0, size int, se
 			}
 		}
 		if err != nil {
-			loadErr, errDev = err, d
+			loadErr = err
 			break
 		}
 		// The builder recycles memories across builds, but each build's
@@ -597,7 +555,7 @@ func (s *Session) runBatch(ctx context.Context, br BatchRunner, d0, size int, se
 		if err != nil {
 			// A batch-level failure (cancellation, bad test) aborts every
 			// lane; attribute it to the batch's first device.
-			send(d0, nil, err)
+			out <- fleetMsg{err: err}
 			return false
 		}
 		for l := 0; l < loaded; l++ {
@@ -606,7 +564,7 @@ func (s *Session) runBatch(ctx context.Context, br BatchRunner, d0, size int, se
 			if divergent>>uint(l)&1 != 0 {
 				f, rep, err := s.runOnce(ctx, deviceSeed(s.seed, d), true)
 				if err != nil {
-					send(d, nil, err)
+					out <- fleetMsg{err: err}
 					return false
 				}
 				res = s.resultFrom(f, rep)
@@ -616,13 +574,11 @@ func (s *Session) runBatch(ctx context.Context, br BatchRunner, d0, size int, se
 			if s.observe != nil {
 				s.observe(d)
 			}
-			if !send(d, res, nil) {
-				return false
-			}
+			out <- fleetMsg{res: res}
 		}
 	}
 	if loadErr != nil {
-		send(errDev, nil, loadErr)
+		out <- fleetMsg{err: loadErr}
 		return false
 	}
 	return true

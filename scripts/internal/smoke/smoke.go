@@ -90,13 +90,11 @@ func WaitJob(ctx context.Context, c *client.Client, id string, patience time.Dur
 	}
 }
 
-// ReferenceLines runs the request's session in-process with ordered
-// delivery and returns the NDJSON lines a single fault-free node
-// streams for devices [0, Devices).
+// ReferenceLines runs the request's session in-process and returns the
+// NDJSON lines a single fault-free node streams for devices
+// [0, Devices).
 func ReferenceLines(req service.JobRequest) ([]string, error) {
-	s, err := memtest.New(req.Plan,
-		memtest.WithSeed(req.Seed), memtest.WithDRF(),
-		memtest.WithFleetDelivery(memtest.Ordered))
+	s, err := memtest.New(req.Plan, memtest.WithSeed(req.Seed), memtest.WithDRF())
 	if err != nil {
 		return nil, err
 	}

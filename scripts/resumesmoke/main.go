@@ -85,8 +85,7 @@ func run() error {
 
 	req := service.JobRequest{
 		Plan: smokePlan(), Devices: 300, Seed: 97, DRF: true,
-		Delivery: "ordered",
-		Workers:  1, // serialize the fleet: the kill lands mid-job, not after it
+		Workers: 1, // serialize the fleet: the kill lands mid-job, not after it
 	}
 	log.Printf("resumesmoke: computing in-process reference stream")
 	want, err := smoke.ReferenceLines(req)

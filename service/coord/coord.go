@@ -165,10 +165,10 @@ type Coordinator struct {
 // New seeds and sweeps the worker membership table, recovers any
 // stored jobs, and starts the merge workers plus the background
 // prober that owns worker health from here on. Reachable workers that
-// are not shard-capable (crash resume disabled, or unordered resume
-// delivery) are refused outright; unreachable ones are tolerated — the
-// prober keeps re-probing them with backoff. Call Close to stop the
-// coordinator and release the store.
+// are not shard-capable (crash resume disabled) are refused outright;
+// unreachable ones are tolerated — the prober keeps re-probing them
+// with backoff. Call Close to stop the coordinator and release the
+// store.
 func New(cfg Config) (*Coordinator, error) {
 	cfg = cfg.withDefaults()
 	log := cfg.Logger

@@ -465,8 +465,8 @@ func TestCoordHealthReportsFleet(t *testing.T) {
 			t.Fatalf("worker %s probe_age_sec = %g, want a fresh probe", w.URL, w.ProbeAgeSec)
 		}
 	}
-	if !h.Resume || h.ResumeDelivery != "ordered" {
-		t.Fatalf("coordinator capability = %v/%q", h.Resume, h.ResumeDelivery)
+	if !h.Resume {
+		t.Fatal("coordinator reports crash resume disabled")
 	}
 	if h.FleetWorkers <= 0 {
 		t.Fatalf("aggregated fleet workers = %d", h.FleetWorkers)
@@ -487,7 +487,7 @@ type stallWorker struct {
 func (s *stallWorker) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	switch {
 	case r.URL.Path == "/v1/healthz":
-		json.NewEncoder(w).Encode(service.Health{Resume: true, ResumeDelivery: "ordered"})
+		json.NewEncoder(w).Encode(service.Health{Resume: true})
 	case r.Method == http.MethodPost && r.URL.Path == "/v1/jobs":
 		json.NewEncoder(w).Encode(service.JobStatus{ID: "stall-1", State: service.StateRunning})
 	case r.Method == http.MethodDelete:

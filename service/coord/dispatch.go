@@ -152,7 +152,7 @@ func (c *Coordinator) shardRequest(j *job, lo, hi int) service.JobRequest {
 		DRF:         j.Req.DRF,
 		Seed:        j.Req.Seed,
 		Workers:     j.Req.Workers,
-		Delivery:    "ordered", // resume and merge both need an ordered spool
+		Delivery:    "ordered", // older workers default to unordered; resume and merge need order
 		Repair:      j.Req.Repair,
 	}
 }

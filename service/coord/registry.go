@@ -192,22 +192,17 @@ func (r *registry) probeDelay(strikes int) time.Duration {
 
 // probeOne fetches the worker's /v1/healthz once and advances its
 // membership state machine. A reachable worker must be shard-capable —
-// crash resume enabled with ordered delivery — or it is quarantined: a
-// shard parked on a resume-disabled or unordered worker would not
-// survive a worker restart as a byte-identical prefix. The returned
-// error describes why the worker is not active (nil when it is).
+// crash resume enabled — or it is quarantined: a shard parked on a
+// resume-disabled worker would not survive a worker restart as a
+// byte-identical prefix. The returned error describes why the worker
+// is not active (nil when it is).
 func (r *registry) probeOne(ctx context.Context, w *worker) error {
 	pctx, cancel := context.WithTimeout(ctx, r.probeTimeout)
 	h, err := w.cli.Health(pctx)
 	cancel()
 	capErr := ""
-	if err == nil {
-		switch {
-		case !h.Resume:
-			capErr = "worker has crash resume disabled (-resume=false)"
-		case h.ResumeDelivery != "ordered":
-			capErr = fmt.Sprintf("worker resume delivery %q, need ordered", h.ResumeDelivery)
-		}
+	if err == nil && !h.Resume {
+		capErr = "worker has crash resume disabled (-resume=false)"
 	}
 	now := r.now()
 	w.mu.Lock()
@@ -364,8 +359,8 @@ func (r *registry) pick(refused map[string]bool, soft string) (*worker, error) {
 
 // sweep probes every member concurrently and fails when any worker is
 // reachable but not shard-capable — the fail-fast startup refusal of
-// unordered or resume-disabled workers. Workers that are merely down
-// are tolerated: they may come up later, and the prober keeps trying.
+// resume-disabled workers. Workers that are merely down are tolerated:
+// they may come up later, and the prober keeps trying.
 func (r *registry) sweep(ctx context.Context) error {
 	ws := r.list()
 	var wg sync.WaitGroup

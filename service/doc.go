@@ -4,9 +4,10 @@
 //
 // Clients submit memtest.Plan-based jobs as JSON and read per-device
 // results back as NDJSON while the diagnosis is still running — the
-// stream is backed directly by Session.RunFleet's iterator, so a
-// device's result is on the wire as soon as its worker finishes
-// (unordered delivery, the service default).
+// stream is backed directly by Session.RunFleet's iterator, so each
+// device's result is on the wire as soon as it and every device before
+// it have finished. The stream is always in device order: the same
+// (plan, seed) gives the same bytes.
 //
 // The HTTP surface:
 //

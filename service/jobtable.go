@@ -31,9 +31,6 @@ type JobHooks struct {
 	// was cancelled while queued). Its error picks the terminal state:
 	// nil is done, a cancelled context cancelled, anything else failed.
 	Run func(ctx context.Context, j *Job, start func(workers int) bool) error
-	// Resumable, when set, narrows which interrupted jobs resume after a
-	// restart; the table already requires a stored request that resolves.
-	Resumable func(JobRequest) bool
 	// Plan, when set, fills in daemon-specific status before a job is
 	// enqueued: on Submit, and on a recovered job about to resume (its
 	// Completed then holds the spooled line count).
@@ -356,12 +353,16 @@ func (t *JobTable) recover() error {
 }
 
 // resumable reports whether a recovered request can drive a resumed
-// run: it must still resolve — the engine may have been registered by
-// a binary that no longer runs — and pass the daemon's own check. An
-// unresumable request degrades to the failed-with-partials recovery.
+// run. Its stored delivery must be "ordered", which Submit records for
+// every job: a manifest without it was written by an older release,
+// whose default unordered spool holds whichever devices finished
+// first, not the device prefix a resume extends. The request must also
+// still resolve — the engine may have been registered by a binary that
+// no longer runs. An unresumable request degrades to the
+// failed-with-partials recovery.
 func (t *JobTable) resumable(req JobRequest) bool {
 	_, err := req.Resolve()
-	return err == nil && (t.hooks.Resumable == nil || t.hooks.Resumable(req))
+	return err == nil && req.Delivery == "ordered"
 }
 
 func (t *JobTable) worker() {
@@ -489,6 +490,7 @@ func (t *JobTable) Submit(req JobRequest) (JobStatus, error) {
 	t.seq++
 	j := newJob(fmt.Sprintf("job-%06d", t.seq), nil)
 	j.Req = req
+	j.Req.Delivery = "ordered" // the stream order resumable requires
 	st.ID, st.Created = j.ID, time.Now()
 	j.Status = st
 	mf, err := j.manifestBytes()
@@ -721,9 +723,7 @@ func (t *JobTable) Health() Health {
 		Version:       obs.Version(),
 		Durable:       t.store.Durable(),
 	}
-	if !t.cfg.NoResume {
-		h.Resume, h.ResumeDelivery = true, "ordered"
-	}
+	h.Resume = !t.cfg.NoResume
 	return h
 }
 

@@ -27,6 +27,9 @@ var (
 	ErrBadDevices = errors.New("service: job needs a positive device count")
 	// ErrBadFirstDevice: a job submission with a negative first_device.
 	ErrBadFirstDevice = errors.New("service: first_device must be non-negative")
+	// ErrBadDelivery: a job submission whose delivery is not "",
+	// "ordered" or the deprecated alias "unordered".
+	ErrBadDelivery = errors.New("service: invalid delivery mode")
 	// ErrDiagnose: a one-shot diagnosis run itself failed (HTTP 500) —
 	// the request was fine, the engine was not.
 	ErrDiagnose = errors.New("service: diagnosis failed")
@@ -89,16 +92,13 @@ type Config struct {
 	// started, finished, resumed, evicted) with job= context. Nil
 	// discards them.
 	Logger *slog.Logger
-	// NoResume disables crash resume. By default a recovered
-	// ordered-delivery job whose manifest says queued or running
-	// re-enqueues as resuming: the scheduler counts the spooled
-	// complete lines and re-runs only the missing device suffix, so
-	// the final stream is byte-identical to a crash-free run.
-	// (Unordered jobs always recover as failed — their spool holds
-	// whichever devices finished first, not a resumable prefix.) With
-	// NoResume (the daemon's -resume=false), every interrupted job
-	// recovers as failed with its partial results retained — the
-	// pre-resume behaviour.
+	// NoResume disables crash resume. By default a recovered job whose
+	// manifest says queued or running re-enqueues as resuming: the
+	// scheduler counts the spooled complete lines and re-runs only the
+	// missing device suffix, so the final stream is byte-identical to a
+	// crash-free run. With NoResume (the daemon's -resume=false), every
+	// interrupted job recovers as failed with its partial results
+	// retained — the pre-resume behaviour.
 	NoResume bool
 }
 
@@ -140,9 +140,9 @@ type Manager struct {
 
 // NewManager recovers cfg.Store (an in-memory store when nil), starts
 // cfg.Jobs scheduler workers and returns the ready manager; see
-// NewJobTable for recovery. Only ordered-delivery jobs resume — the
-// final stream is then byte-identical to a crash-free run. Call Close
-// to stop the manager and release the store.
+// NewJobTable for recovery. A resumed job's final stream is
+// byte-identical to a crash-free run. Call Close to stop the manager
+// and release the store.
 func NewManager(cfg Config) (*Manager, error) {
 	cfg = cfg.withDefaults()
 	st := cfg.Store
@@ -160,7 +160,7 @@ func NewManager(cfg Config) (*Manager, error) {
 		diagSem: make(chan struct{}, cfg.Jobs),
 		avail:   cfg.FleetWorkers,
 	}
-	t, err := NewJobTable(cfg, JobHooks{Metrics: x.job, Run: m.run, Resumable: orderedDelivery})
+	t, err := NewJobTable(cfg, JobHooks{Metrics: x.job, Run: m.run})
 	if err != nil {
 		return nil, err
 	}
@@ -168,16 +168,6 @@ func NewManager(cfg Config) (*Manager, error) {
 	m.registerGauges(cfg.Metrics)
 	t.Start()
 	return m, nil
-}
-
-// orderedDelivery is the manager's crash-resume condition: only an
-// ordered job's spooled prefix is exactly devices [0, K), the
-// contiguous range RunFleetRange extends — an unordered job's spool
-// holds whichever K devices finished first, so resuming it would
-// duplicate some devices and drop others.
-func orderedDelivery(req JobRequest) bool {
-	d, err := memtest.ParseFleetDelivery(req.Delivery)
-	return err == nil && d == memtest.Ordered
 }
 
 // StartDiagnose claims a one-shot diagnosis slot; it fails with

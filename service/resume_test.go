@@ -9,6 +9,7 @@ package service_test
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"net"
 	"net/http/httptest"
@@ -63,61 +64,69 @@ func memServer(t *testing.T, inner store.Store, cfg service.Config) (*client.Cli
 }
 
 // TestCrashResumeByteIdentical is the acceptance-criterion test: a
-// store fault kills a job after exactly 2 of 5 ordered device results
-// are durable (stale manifest, truncated spool — what kill-9 leaves),
-// a fresh manager over the same store resumes the missing [2,5)
-// suffix, and the final stream is byte-identical to a crash-free run.
+// store fault kills a job after exactly 2 of 5 device results are
+// durable (stale manifest, truncated spool — what kill-9 leaves), a
+// fresh manager over the same store resumes the missing [2,5) suffix,
+// and the final stream is byte-identical to a crash-free run. A job
+// that leaves delivery empty resumes exactly like one that asks for
+// "ordered": every job streams in device order.
 func TestCrashResumeByteIdentical(t *testing.T) {
-	inner := store.NewMem()
-	ctx := context.Background()
-	req := service.JobRequest{Plan: testPlan(), Devices: 5, Seed: 21, Delivery: "ordered", DRF: true}
+	for _, tc := range []struct{ name, delivery string }{{"ordered", "ordered"}, {"default", ""}} {
+		t.Run(tc.name, func(t *testing.T) {
+			inner := store.NewMem()
+			ctx := context.Background()
+			req := service.JobRequest{Plan: testPlan(), Devices: 5, Seed: 21, Delivery: tc.delivery, DRF: true}
 
-	// Generation 1: the process that dies. CrashAfterAppends(2) lets
-	// two results reach the store, then fails every later append, flush
-	// and manifest write — the job fails in this process, and the store
-	// keeps a running manifest over a 2-line spool.
-	c1, fs1, _ := faultServer(t, inner, service.Config{Jobs: 1, Queue: 4})
-	fs1.CrashAfterAppends(2)
-	st, err := c1.Submit(ctx, req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	crashed := waitState(t, c1, st.ID, service.StateFailed)
-	if !strings.Contains(crashed.Error, "injected") {
-		t.Fatalf("crashed job error = %q, want the injected store fault", crashed.Error)
-	}
+			// Generation 1: the process that dies. CrashAfterAppends(2)
+			// lets two results reach the store, then fails every later
+			// append, flush and manifest write — the job fails in this
+			// process, and the store keeps a running manifest over a
+			// 2-line spool.
+			c1, fs1, _ := faultServer(t, inner, service.Config{Jobs: 1, Queue: 4})
+			fs1.CrashAfterAppends(2)
+			st, err := c1.Submit(ctx, req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			crashed := waitState(t, c1, st.ID, service.StateFailed)
+			if !strings.Contains(crashed.Error, "injected") {
+				t.Fatalf("crashed job error = %q, want the injected store fault", crashed.Error)
+			}
 
-	// Generation 2: a fresh manager over the same (now healthy) store.
-	c2, m2, ts2 := memServer(t, inner, service.Config{Jobs: 1, Queue: 4})
-	defer func() { ts2.Close(); m2.Close() }()
-	resumed := waitState(t, c2, st.ID, service.StateDone)
-	if !resumed.Recovered || !resumed.Resumed || resumed.ResumedFrom != 2 {
-		t.Fatalf("resumed job = %+v, want recovered+resumed from device 2", resumed)
-	}
-	if resumed.Completed != 5 {
-		t.Fatalf("resumed job completed %d devices, want 5", resumed.Completed)
-	}
+			// Generation 2: a fresh manager over the same (now healthy)
+			// store.
+			c2, m2, ts2 := memServer(t, inner, service.Config{Jobs: 1, Queue: 4})
+			defer func() { ts2.Close(); m2.Close() }()
+			resumed := waitState(t, c2, st.ID, service.StateDone)
+			if !resumed.Recovered || !resumed.Resumed || resumed.ResumedFrom != 2 {
+				t.Fatalf("resumed job = %+v, want recovered+resumed from device 2", resumed)
+			}
+			if resumed.Completed != 5 {
+				t.Fatalf("resumed job completed %d devices, want 5", resumed.Completed)
+			}
 
-	got := rawStream(t, ts2, st.ID)
-	want := localLines(t, req)
-	if len(got) != len(want) {
-		t.Fatalf("resumed stream has %d lines, want %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("resumed line %d differs:\nresumed: %s\nlocal  : %s", i, got[i], want[i])
-		}
-	}
+			got := rawStream(t, ts2, st.ID)
+			want := localLines(t, req)
+			if len(got) != len(want) {
+				t.Fatalf("resumed stream has %d lines, want %d", len(got), len(want))
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("resumed line %d differs:\nresumed: %s\nlocal  : %s", i, got[i], want[i])
+				}
+			}
 
-	// The operator-facing cost of the restart: one job recovered, one
-	// resumed, three devices re-run.
-	h, err := c2.Health(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h.JobsRecovered != 1 || h.JobsResumed != 1 || h.ResumeDevicesRerun != 3 {
-		t.Fatalf("health recovery counters = recovered %d, resumed %d, rerun %d; want 1, 1, 3",
-			h.JobsRecovered, h.JobsResumed, h.ResumeDevicesRerun)
+			// The operator-facing cost of the restart: one job
+			// recovered, one resumed, three devices re-run.
+			h, err := c2.Health(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if h.JobsRecovered != 1 || h.JobsResumed != 1 || h.ResumeDevicesRerun != 3 {
+				t.Fatalf("health recovery counters = recovered %d, resumed %d, rerun %d; want 1, 1, 3",
+					h.JobsRecovered, h.JobsResumed, h.ResumeDevicesRerun)
+			}
+		})
 	}
 }
 
@@ -603,34 +612,56 @@ func TestReconnectRidesThroughServerRestart(t *testing.T) {
 }
 
 // TestUnorderedJobNeverResumes: resume assumes the spooled prefix is
-// devices [0, K), which only ordered delivery guarantees — an
-// unordered job's spool holds whichever K devices finished first. An
-// interrupted unordered job must therefore recover as failed with its
+// devices [0, K). Older releases streamed jobs unordered by default
+// and wrote their manifests without a delivery field; such a spool
+// holds whichever K devices finished first. An interrupted job in that
+// format, met across an upgrade, must recover as failed with its
 // partials retained, never re-enqueue as resuming.
 func TestUnorderedJobNeverResumes(t *testing.T) {
 	inner := store.NewMem()
 	ctx := context.Background()
-	// Default delivery — the service's unordered mode.
 	req := service.JobRequest{Plan: testPlan(), Devices: 5, Seed: 77}
-
-	c1, fs1, _ := faultServer(t, inner, service.Config{Jobs: 1, Queue: 4})
-	fs1.CrashAfterAppends(2)
-	st, err := c1.Submit(ctx, req)
+	mf, err := json.Marshal(struct {
+		service.JobStatus
+		Request *service.JobRequest `json:"request"`
+	}{service.JobStatus{
+		ID: "job-000001", State: service.StateRunning, Plan: req.Plan.Name,
+		Scheme: "proposed", Devices: req.Devices,
+	}, &req})
 	if err != nil {
 		t.Fatal(err)
 	}
-	waitState(t, c1, st.ID, service.StateFailed)
+	if strings.Contains(string(mf), "delivery") {
+		t.Fatalf("forged manifest %s records a delivery", mf)
+	}
+	spool, err := inner.Create("job-000001", mf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := localLines(t, req)
+	for _, d := range []int{3, 1} { // finish order, not device order
+		if err := spool.Append([]byte(lines[d])); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := spool.Flush(); err != nil {
+		t.Fatal(err)
+	}
 
-	c2, m2, _ := memServer(t, inner, service.Config{Jobs: 1, Queue: 4})
-	defer m2.Close()
-	failed := waitState(t, c2, st.ID, service.StateFailed)
+	c, m, ts := memServer(t, inner, service.Config{Jobs: 1, Queue: 4})
+	defer func() { ts.Close(); m.Close() }()
+	failed := waitState(t, c, "job-000001", service.StateFailed)
 	if failed.Resumed || !failed.Recovered {
-		t.Fatalf("unordered interrupted job = %+v, want recovered but NOT resumed", failed)
+		t.Fatalf("legacy unordered job = %+v, want recovered but NOT resumed", failed)
 	}
 	if failed.Completed != 2 || !strings.Contains(failed.Error, "2/5 device results retained") {
-		t.Fatalf("unordered recovery = %+v, want failed-with-partials (2/5 retained)", failed)
+		t.Fatalf("legacy unordered recovery = %+v, want failed-with-partials (2/5 retained)", failed)
 	}
-	h, err := c2.Health(ctx)
+	// The failed stream ends with its error line after the partials.
+	if got := rawStream(t, ts, "job-000001"); len(got) != 3 || got[0] != lines[3] || got[1] != lines[1] {
+		t.Fatalf("retained stream (%d lines) is not devices 3 and 1 as spooled", len(got))
+	}
+	h, err := c.Health(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}

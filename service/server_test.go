@@ -134,63 +134,40 @@ func eventually(cond func() bool) bool {
 }
 
 // TestSubmitStreamByteIdenticalToLocalRunFleet is the acceptance-
-// criterion test: a fleet job submitted over HTTP with ordered
-// delivery streams NDJSON DeviceResults byte-identical to
-// Session.RunFleet run in-process with the same seed.
+// criterion test: a fleet job submitted over HTTP streams NDJSON
+// DeviceResults byte-identical to Session.RunFleet run in-process with
+// the same seed, line for line in device order — whether the request
+// asks for "ordered", leaves delivery empty, or uses the deprecated
+// "unordered" alias.
 func TestSubmitStreamByteIdenticalToLocalRunFleet(t *testing.T) {
 	c, _, ts := newTestServer(t, service.Config{Jobs: 2, Queue: 8})
-	req := service.JobRequest{
-		Plan: testPlan(), Devices: 6, DRF: true, Seed: 7,
-		Delivery: "ordered",
-		Repair:   &memtest.Budget{SpareWords: 1, SpareCells: 2},
-	}
-	st, err := c.Submit(context.Background(), req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := rawStream(t, ts, st.ID)
-	want := localLines(t, req)
-	if len(got) != len(want) {
-		t.Fatalf("stream has %d lines, local run %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("line %d differs:\nwire : %s\nlocal: %s", i, got[i], want[i])
-		}
-	}
-	if st := waitState(t, c, st.ID, service.StateDone); st.Completed != req.Devices {
-		t.Fatalf("completed = %d, want %d", st.Completed, req.Devices)
-	}
-}
-
-// TestUnorderedStreamSameResultSet: the default (unordered) delivery
-// yields the same per-device payloads, re-keyed by device index.
-func TestUnorderedStreamSameResultSet(t *testing.T) {
-	c, _, ts := newTestServer(t, service.Config{Jobs: 2, Queue: 8})
-	req := service.JobRequest{Plan: testPlan(), Devices: 8, Seed: 3}
-	st, err := c.Submit(context.Background(), req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := map[int]string{}
-	for _, line := range rawStream(t, ts, st.ID) {
-		var dr memtest.DeviceResult
-		if err := json.Unmarshal([]byte(line), &dr); err != nil {
-			t.Fatalf("bad line %q: %v", line, err)
-		}
-		if _, dup := got[dr.Device]; dup {
-			t.Fatalf("device %d streamed twice", dr.Device)
-		}
-		got[dr.Device] = line
-	}
-	want := localLines(t, req)
-	if len(got) != len(want) {
-		t.Fatalf("stream has %d devices, local run %d", len(got), len(want))
-	}
-	for d, line := range want {
-		if got[d] != line {
-			t.Fatalf("device %d differs:\nwire : %s\nlocal: %s", d, got[d], line)
-		}
+	for _, tc := range []struct{ name, delivery string }{
+		{"ordered", "ordered"}, {"default", ""}, {"unordered", "unordered"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			req := service.JobRequest{
+				Plan: testPlan(), Devices: 6, DRF: true, Seed: 7,
+				Delivery: tc.delivery,
+				Repair:   &memtest.Budget{SpareWords: 1, SpareCells: 2},
+			}
+			st, err := c.Submit(context.Background(), req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := rawStream(t, ts, st.ID)
+			want := localLines(t, req)
+			if len(got) != len(want) {
+				t.Fatalf("stream has %d lines, local run %d", len(got), len(want))
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("line %d differs:\nwire : %s\nlocal: %s", i, got[i], want[i])
+				}
+			}
+			if st := waitState(t, c, st.ID, service.StateDone); st.Completed != req.Devices {
+				t.Fatalf("completed = %d, want %d", st.Completed, req.Devices)
+			}
+		})
 	}
 }
 

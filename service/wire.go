@@ -39,9 +39,10 @@ type JobRequest struct {
 	// it to its per-job share of the shared capacity. Zero takes the
 	// full share.
 	Workers int `json:"workers,omitempty"`
-	// Delivery is "unordered" (the service default: stream each device
-	// as its worker finishes) or "ordered" (deterministic device
-	// order, head-of-line buffered).
+	// Delivery may be empty or "ordered"; every job streams in device
+	// order. "unordered" is accepted as a deprecated alias and also
+	// streams in device order. Any other value fails with
+	// ErrBadDelivery.
 	Delivery string `json:"delivery,omitempty"`
 	// TimeoutSec, when positive, is the job's run deadline in seconds:
 	// a job still streaming devices when it expires fails with a
@@ -57,19 +58,17 @@ type JobRequest struct {
 // session builds the memtest session a request describes, clamping the
 // fleet worker count to maxWorkers. Extra options (the manager's device
 // observer, for one) are appended after the request's own. Errors wrap
-// the memtest sentinel errors, so the server can report them as client
-// mistakes (HTTP 400).
+// ErrBadDelivery or the memtest sentinel errors, so the server can
+// report them as client mistakes (HTTP 400).
 func (r JobRequest) session(maxWorkers int, extra ...memtest.Option) (*memtest.Session, error) {
+	switch r.Delivery {
+	case "", "ordered", "unordered":
+	default:
+		return nil, fmt.Errorf("%w: %q", ErrBadDelivery, r.Delivery)
+	}
 	scheme := r.Scheme
 	if scheme == "" {
 		scheme = "proposed"
-	}
-	delivery := memtest.Unordered
-	if r.Delivery != "" {
-		var err error
-		if delivery, err = memtest.ParseFleetDelivery(r.Delivery); err != nil {
-			return nil, err
-		}
 	}
 	workers := r.Workers
 	if workers <= 0 || workers > maxWorkers {
@@ -79,7 +78,6 @@ func (r JobRequest) session(maxWorkers int, extra ...memtest.Option) (*memtest.S
 		memtest.WithScheme(scheme),
 		memtest.WithSeed(r.Seed),
 		memtest.WithWorkers(workers),
-		memtest.WithFleetDelivery(delivery),
 	}
 	if r.DRF {
 		opts = append(opts, memtest.WithDRF())
@@ -93,8 +91,8 @@ func (r JobRequest) session(maxWorkers int, extra ...memtest.Option) (*memtest.S
 
 // Resolve validates the request by building (and discarding) a
 // session, returning the resolved engine name ("proposed" when Scheme
-// is empty). Errors wrap the memtest sentinel errors, so front-ends
-// report them as client mistakes. JobTable.Submit uses it for the
+// is empty). Errors wrap ErrBadDelivery or the memtest sentinel errors,
+// so front-ends report them as client mistakes. JobTable.Submit uses it for the
 // fail-fast validation both daemons share.
 func (r JobRequest) Resolve() (string, error) {
 	probe, err := r.session(1)
@@ -155,12 +153,12 @@ type JobStatus struct {
 	// to running jobs).
 	Workers int `json:"workers,omitempty"`
 	// Recovered marks a job restored from the data directory by a
-	// process that did not create it. A recovered ordered-delivery job
-	// that was queued or running at crash time resumes (Resumed
-	// below); an unordered one — whose spool is not a resumable device
-	// prefix — or any interrupted job with resume disabled reports
-	// failed, with the device results spooled before the crash still
-	// streamable.
+	// process that did not create it. A recovered job that was queued
+	// or running at crash time resumes (Resumed below); one whose
+	// manifest does not record ordered delivery (an unordered job
+	// spooled by an older release, whose spool is not a device prefix)
+	// or any interrupted job with resume disabled reports failed, with
+	// the device results spooled before the crash still streamable.
 	Recovered bool `json:"recovered,omitempty"`
 	// Resumed marks a job whose crash-interrupted run was completed by
 	// re-running only the missing device suffix; ResumedFrom is the
@@ -272,15 +270,13 @@ type Health struct {
 	Version       string  `json:"version,omitempty"`
 	DevicesPerSec float64 `json:"devices_per_sec"`
 	// Capability, not load: Resume reports whether crash resume is
-	// enabled (-resume, the default), ResumeDelivery the delivery order
-	// resume supports ("ordered"), and Durable whether the job store
+	// enabled (-resume, the default), and Durable whether the job store
 	// survives restarts (a -data-dir disk store). memtest-coord refuses
-	// workers that do not report Resume with ordered delivery — a shard
-	// parked on a resume-disabled worker would lose its spool on the
-	// first worker restart.
-	Resume         bool   `json:"resume"`
-	ResumeDelivery string `json:"resume_delivery,omitempty"`
-	Durable        bool   `json:"durable"`
+	// workers that do not report Resume — a shard parked on a
+	// resume-disabled worker would lose its spool on the first worker
+	// restart.
+	Resume  bool `json:"resume"`
+	Durable bool `json:"durable"`
 	// Workers, on a memtest-coord /v1/healthz, is the per-worker view
 	// of the fleet the coordinator shards over. Empty on single-node
 	// daemons.
