@@ -69,28 +69,6 @@ func (s SoC) Validate() error {
 	return nil
 }
 
-// Build instantiates the fleet: behavioural memories with the defect
-// populations injected. The returned fault lists (per memory) are the
-// ground truth for evaluating diagnosis results.
-func (s SoC) Build() ([]*sram.Memory, [][]fault.Fault, error) {
-	if err := s.Validate(); err != nil {
-		return nil, nil, err
-	}
-	mems := make([]*sram.Memory, len(s.Memories))
-	truth := make([][]fault.Fault, len(s.Memories))
-	for i, mc := range s.Memories {
-		m := sram.New(mc.Words, mc.Width)
-		gen := fault.NewGenerator(mc.Words, mc.Width, mc.Seed)
-		injected, err := injectDefects(m, gen, mc)
-		if err != nil {
-			return nil, nil, err
-		}
-		mems[i] = m
-		truth[i] = injected
-	}
-	return mems, truth, nil
-}
-
 // injectDefects draws mc's defect population from gen (which must be
 // positioned at the start of its seeded stream) and injects it into m
 // (which must be fault-free), returning the sorted ground truth.
@@ -125,9 +103,10 @@ func injectDefects(m *sram.Memory, gen *fault.Generator, mc Memory) ([]fault.Fau
 // fleet workers need when diagnosing millions of per-device instances
 // of the same plan. Each Build resets every memory (O(fault count)),
 // reseeds its generator and re-draws the defect population, so the
-// resulting fleet is identical to what SoC.Build would construct with
-// the same per-memory seeds. Not safe for concurrent use; give each
-// worker its own Builder.
+// same per-memory seeds always build the same fleet. The returned
+// fault lists (per memory) are the ground truth for evaluating
+// diagnosis results. Not safe for concurrent use; give each worker its
+// own Builder.
 type Builder struct {
 	soc  SoC
 	mems []*sram.Memory

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/fault"
+	"repro/internal/sram"
 )
 
 func TestBenchmark16Shape(t *testing.T) {
@@ -44,16 +45,24 @@ func TestValidateRejects(t *testing.T) {
 	}
 }
 
+// build is a one-shot build of s on a fresh Builder.
+func build(t *testing.T, s SoC) ([]*sram.Memory, [][]fault.Fault) {
+	t.Helper()
+	b, err := NewBuilder(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mems, truth, err := b.Build(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return mems, truth
+}
+
 func TestBuildDeterministic(t *testing.T) {
 	s := HeterogeneousExample()
-	_, t1, err := s.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, t2, err := s.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, t1 := build(t, s)
+	_, t2 := build(t, s)
 	for i := range t1 {
 		if len(t1[i]) != len(t2[i]) {
 			t.Fatalf("memory %d: truth size differs", i)
@@ -70,10 +79,7 @@ func TestBuildInjectsRequestedDefects(t *testing.T) {
 	s := SoC{Name: "t", ClockNs: 10, Memories: []Memory{
 		{Name: "m", Words: 64, Width: 8, DefectRate: 0.05, DRFCount: 3, Seed: 7},
 	}}
-	mems, truth, err := s.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
+	mems, truth := build(t, s)
 	if len(mems) != 1 {
 		t.Fatal("wrong fleet size")
 	}

@@ -1,7 +1,6 @@
 package memtest
 
 import (
-	"context"
 	"fmt"
 	"runtime"
 	"testing"
@@ -10,9 +9,9 @@ import (
 // This file is the cross-path differential wall for the bit-sliced
 // fleet engine: every DeviceResult the banked batch path streams must
 // be byte-identical (as JSON) to the per-device path's, across fault
-// mixes, device counts that straddle the 64-lane batch boundary,
-// worker counts, both delivery modes, and forced lane divergence. The
-// per-device reference arm is obtained by flipping the session's
+// mixes, repair budgets, both background delivery orders, device
+// counts that straddle the 64-lane batch boundary, and worker counts.
+// The per-device reference arm is obtained by flipping the session's
 // noBatch switch, which hides the engine's BatchEngine side.
 
 // diffPlan draws the paper's defect classes (SA0/SA1, TFUp/TFDown,
@@ -108,51 +107,12 @@ func TestBankedFleetDifferentialDeviceCounts(t *testing.T) {
 }
 
 // TestBankedFleetDifferentialWorkerCounts pins that batch claiming —
-// workers grab 64-device windows from a shared counter — stays
-// byte-identical to the per-device path at every pool size.
+// workers claim 64-device windows in device order through the bounded
+// reorder window — stays byte-identical to the per-device path at
+// every pool size.
 func TestBankedFleetDifferentialWorkerCounts(t *testing.T) {
 	for _, workers := range []int{1, 4, runtime.GOMAXPROCS(0)} {
 		diffFleets(t, diffPlan(), 130, WithSeed(5), WithDRF(), WithWorkers(workers))
-	}
-}
-
-// TestBankedFleetForcedDivergence pins the lane-divergence rule: when
-// the batch path decides a lane cannot be trusted to the bank (as for
-// SOF/ADOF/CDF faults), it re-runs that device through the pooled
-// per-device path — and the result must still be byte-identical. The
-// divergeLane hook forces the decision on arbitrary lanes, including
-// patterns where most of a batch diverges.
-func TestBankedFleetForcedDivergence(t *testing.T) {
-	for _, tc := range []struct {
-		name    string
-		diverge func(device int) bool
-	}{
-		{"every_7th", func(d int) bool { return d%7 == 0 }},
-		{"first_lane", func(d int) bool { return d%64 == 0 }},
-		{"last_lane", func(d int) bool { return d%64 == 63 }},
-		{"most_lanes", func(d int) bool { return d%4 != 0 }},
-		{"all_lanes", func(d int) bool { return true }},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			banked, err := New(diffPlan(), WithSeed(13), WithDRF(), WithWorkers(4))
-			if err != nil {
-				t.Fatal(err)
-			}
-			banked.divergeLane = tc.diverge
-			ref, err := New(diffPlan(), WithSeed(13), WithDRF(), WithWorkers(4))
-			if err != nil {
-				t.Fatal(err)
-			}
-			ref.noBatch = true
-			want := collectFleet(t, ref, 70)
-			got := collectFleet(t, banked, 70)
-			for d := 0; d < 70; d++ {
-				if got[d] != want[d] {
-					t.Fatalf("diverged device %d differs:\nbanked:  %s\nperdev:  %s",
-						d, got[d], want[d])
-				}
-			}
-		})
 	}
 }
 
@@ -179,51 +139,6 @@ func TestRunFleetRangeStitchesAcrossBatchBoundary(t *testing.T) {
 				t.Fatalf("k=%d: stitched device %d differs:\n%s\nvs\n%s", k, d, got[d], want[d])
 			}
 		}
-	}
-}
-
-// TestBankedDivergenceReusesPooledBuilders pins how lane divergence
-// pays for itself: when every lane is forced onto the per-device slow
-// path, the re-runs go through the worker's pooled fleet builder —
-// recycled memories, recycled fault tables — so the banked session
-// may not allocate meaningfully more than the plain per-device path
-// does for the same work. A divergence path that built fresh fleets
-// would multiply allocations several-fold and trip this.
-func TestBankedDivergenceReusesPooledBuilders(t *testing.T) {
-	const devices = 65
-	measure := func(configure func(*Session)) float64 {
-		s, err := New(diffPlan(), WithSeed(3), WithWorkers(1), WithDRF())
-		if err != nil {
-			t.Fatal(err)
-		}
-		configure(s)
-		drain := func() {
-			for _, err := range s.RunFleet(context.Background(), devices) {
-				if err != nil {
-					t.Fatal(err)
-				}
-			}
-		}
-		drain() // warm pooled builders and runner scratch
-		return testing.AllocsPerRun(3, drain)
-	}
-	diverged := measure(func(s *Session) { s.divergeLane = func(int) bool { return true } })
-	perDevice := measure(func(s *Session) { s.noBatch = true })
-	// The diverged run legitimately pays twice per device for builds
-	// (once to load the bank, once for the re-run) plus the discarded
-	// batch reports. What it must NOT pay is a fresh fleet build per
-	// re-run: that alone would cost another `devices * fresh` allocs,
-	// so the overhead staying under that line proves the re-runs ride
-	// the pooled builder.
-	plan := diffPlan()
-	fresh := testing.AllocsPerRun(20, func() {
-		if _, err := plan.build(3, true); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if overhead := diverged - perDevice; overhead > float64(devices)*fresh {
-		t.Fatalf("fully diverged banked fleet allocates %.0f vs per-device %.0f: overhead %.0f exceeds %d fresh builds (%.0f each) — divergence is not reusing the pooled builders",
-			diverged, perDevice, overhead, devices, fresh)
 	}
 }
 

@@ -26,17 +26,14 @@ type EngineOptions struct {
 	// selects March CW sized for the fleet's widest memory (merged
 	// with NWRTM when IncludeDRF is set).
 	Test *MarchTest
-	// AnalyticBaseline forces the baseline's coarse accounting model.
-	// It is auto-enabled when the largest memory exceeds
-	// AnalyticThresholdCells, where bit-level chain simulation becomes
-	// impractical.
-	AnalyticBaseline bool
 	// Trace, when non-nil, receives cycle-stamped engine events.
 	Trace *TraceRecorder
 }
 
 // AnalyticThresholdCells is the largest memory (in cells) the
-// bit-accurate baseline simulation is attempted for.
+// bit-accurate baseline simulation is attempted for; larger fleets
+// use the baseline's coarse accounting model, because bit-level chain
+// simulation becomes impractical.
 const AnalyticThresholdCells = 16384
 
 // Engine is one diagnosis architecture. Implementations run the whole
@@ -58,45 +55,21 @@ type Engine interface {
 	Run(ctx context.Context, f *Fleet, opt EngineOptions) (*Report, error)
 }
 
-// EngineRunner is reusable per-worker engine state: Run behaves exactly
-// like Engine.Run, but scratch buffers, controller blocks and other
-// geometry-sized state survive between calls. A runner is NOT safe for
-// concurrent use — it exists precisely so each fleet worker can own
-// one.
-type EngineRunner interface {
-	Run(ctx context.Context, f *Fleet, opt EngineOptions) (*Report, error)
-}
-
-// ReusableEngine is implemented by engines whose per-run state can be
-// hoisted into a reusable runner. RunFleet gives each of its workers
-// one runner, so diagnosing a million same-plan devices allocates
-// engine state per worker, not per device; engines that don't implement
-// it are simply called per device. The built-in "proposed" engine
-// implements it.
-type ReusableEngine interface {
-	Engine
-	// NewRunner returns a fresh, unshared runner.
-	NewRunner() EngineRunner
-}
-
 // BatchRunner is reusable per-worker state for bit-sliced batch
 // execution: up to Lanes same-plan devices are loaded one per lane and
 // diagnosed by a single schedule pass, returning one Report per lane.
 // The per-lane Reports must be byte-identical to what the engine's
-// per-device path would produce for each device alone. Like an
-// EngineRunner, a BatchRunner is NOT safe for concurrent use — each
-// fleet worker owns one.
+// per-device path would produce for each device alone. A BatchRunner
+// is NOT safe for concurrent use — each fleet worker owns one.
 type BatchRunner interface {
 	// Lanes is the batch width (64 for the built-in bit-sliced bank).
 	Lanes() int
 	// Load stages one device's built fleet into the given lane.
 	// Load(0, f) starts a new batch: the runner (re)fits itself to f's
-	// geometry and clears all lanes. bankable=false reports a device
-	// whose faults the batch path cannot model (sram.ErrUnbankable
-	// classes); the caller must re-diagnose that device on the
-	// per-device path and discard its lane's report. A non-nil error is
-	// a hard failure for that device.
-	Load(lane int, f *Fleet) (bankable bool, err error)
+	// geometry and clears all lanes. A device whose faults the batch
+	// path cannot model fails with an error wrapping
+	// sram.ErrUnbankable; any error is a hard failure for that device.
+	Load(lane int, f *Fleet) error
 	// RunBatch diagnoses lanes [0, lanes) in one schedule pass and
 	// returns their Reports, index = lane.
 	RunBatch(ctx context.Context, lanes int, opt EngineOptions) ([]*Report, error)
@@ -104,9 +77,8 @@ type BatchRunner interface {
 
 // BatchEngine is implemented by engines that can advertise a bit-sliced
 // batch path. RunFleetRange detects it and groups its device window
-// into Lanes-wide batches, falling back to the per-device path only for
-// unbankable lanes; engines that don't implement it run per device.
-// The built-in "proposed" engine implements it.
+// into Lanes-wide batches; engines that don't implement it run per
+// device. The built-in "proposed" engine implements it.
 type BatchEngine interface {
 	Engine
 	// NewBatchRunner returns a fresh, unshared batch runner.

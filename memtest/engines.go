@@ -2,6 +2,7 @@ package memtest
 
 import (
 	"context"
+	"fmt"
 
 	"repro/internal/bisd"
 	"repro/internal/bitvec"
@@ -53,41 +54,6 @@ func (proposedEngine) Run(ctx context.Context, f *Fleet, opt EngineOptions) (*Re
 	})
 }
 
-// NewRunner implements ReusableEngine: the returned runner wraps a
-// bisd.ProposedRunner, so SPCs, comparator shadows, address sequences
-// and scratch words are sized once per worker and reused across every
-// same-plan device, and the default March test is instantiated once
-// instead of per device.
-func (proposedEngine) NewRunner() EngineRunner { return &proposedRunner{r: bisd.NewProposedRunner()} }
-
-type proposedRunner struct {
-	r *bisd.ProposedRunner
-
-	// Cached DefaultTest instantiation.
-	test      MarchTest
-	testCMax  int
-	testDRF   bool
-	testValid bool
-}
-
-func (pr *proposedRunner) Run(ctx context.Context, f *Fleet, opt EngineOptions) (*Report, error) {
-	test := opt.Test
-	if test == nil {
-		cMax := f.WidestWidth()
-		if !pr.testValid || pr.testCMax != cMax || pr.testDRF != opt.IncludeDRF {
-			pr.test = DefaultTest(cMax, opt.IncludeDRF)
-			pr.testCMax, pr.testDRF, pr.testValid = cMax, opt.IncludeDRF, true
-		}
-		test = &pr.test
-	}
-	return pr.r.Run(f.mems, *test, bisd.ProposedOptions{
-		ClockNs:       opt.ClockNs,
-		DeliveryOrder: opt.DeliveryOrder,
-		Trace:         opt.Trace,
-		Ctx:           ctx,
-	})
-}
-
 // NewBatchRunner implements BatchEngine: the returned runner packs up
 // to sram.BankLanes devices into bit-sliced MemoryBanks (one per plan
 // memory, lane l = device l) and runs the March schedule once per
@@ -102,7 +68,7 @@ type proposedBatchRunner struct {
 	banks []*sram.MemoryBank
 	cMax  int
 
-	// Cached DefaultTest instantiation, as in proposedRunner.
+	// Cached DefaultTest instantiation.
 	test      MarchTest
 	testCMax  int
 	testDRF   bool
@@ -111,25 +77,22 @@ type proposedBatchRunner struct {
 
 func (pb *proposedBatchRunner) Lanes() int { return sram.BankLanes }
 
-func (pb *proposedBatchRunner) Load(lane int, f *Fleet) (bankable bool, err error) {
+func (pb *proposedBatchRunner) Load(lane int, f *Fleet) error {
 	if lane == 0 {
 		pb.fit(f)
 	}
-	bankable = true
 	for i, m := range f.mems {
 		ok, err := pb.banks[i].LoadLane(lane, m.Faults())
 		if err != nil {
-			return false, err
+			return err
 		}
 		if !ok {
-			// An unbankable fault class (SOF/ADOF/CDF): the lane still
-			// runs in the bank, but its report is wrong and the caller
-			// re-diagnoses this device per-device. Lanes never interact,
-			// so the other lanes stay exact.
-			bankable = false
+			// Plans draw only bankable classes, so an SOF/ADOF/CDF here
+			// is a fleet the batch path would diagnose wrongly.
+			return fmt.Errorf("memtest: memory %q: %w", f.MemoryName(i), sram.ErrUnbankable)
 		}
 	}
-	return bankable, nil
+	return nil
 }
 
 // fit sizes the banks to the fleet's geometry, reusing them (a cheap
@@ -183,7 +146,7 @@ func (baselineEngine) Name() string     { return "baseline" }
 func (baselineEngine) Describe() string { return "baseline-[7,8]" }
 
 func (baselineEngine) Run(ctx context.Context, f *Fleet, opt EngineOptions) (*Report, error) {
-	analytic := opt.AnalyticBaseline
+	analytic := false
 	for _, m := range f.mems {
 		if m.N()*m.C() > AnalyticThresholdCells {
 			analytic = true

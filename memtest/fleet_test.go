@@ -237,40 +237,6 @@ func TestRunFleetRangeReorderWindow(t *testing.T) {
 	}
 }
 
-// nonReusable hides an engine's ReusableEngine side, so the same fleet
-// can run once with per-worker runners and once with per-device engine
-// calls.
-type nonReusable struct{ Engine }
-
-func TestRunFleetRunnerReuseMatchesFreshEngine(t *testing.T) {
-	const devices = 8
-	withRunner, err := New(smallPlan(), WithSeed(5), WithWorkers(1), WithDRF())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := withRunner.Engine().(ReusableEngine); !ok {
-		t.Fatal("proposed engine no longer reusable; test is vacuous")
-	}
-	want := collectFleet(t, withRunner, devices)
-
-	inner, err := LookupEngine("proposed")
-	if err != nil {
-		t.Fatal(err)
-	}
-	plain, err := New(smallPlan(), WithSeed(5), WithWorkers(1), WithDRF(),
-		WithEngine(nonReusable{inner}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := collectFleet(t, plain, devices)
-	for d := range want {
-		if got[d] != want[d] {
-			t.Fatalf("runner-reuse device %d differs from fresh-engine run:\n%s\nvs\n%s",
-				d, want[d], got[d])
-		}
-	}
-}
-
 func TestRunFleetDevicesDrawDistinctDefects(t *testing.T) {
 	s, err := New(smallPlan(), WithSeed(3))
 	if err != nil {
@@ -430,8 +396,9 @@ func TestFleetBuilderMatchesFreshBuilds(t *testing.T) {
 }
 
 // TestFleetBuilderRecyclesAllocations pins the point of the pooling:
-// building a device's fleet on recycled memories must allocate a small
-// fraction of what a fresh build does.
+// building a device's fleet on a warm builder's recycled memories must
+// allocate a small fraction of what a fresh builder's first build
+// does.
 func TestFleetBuilderRecyclesAllocations(t *testing.T) {
 	plan := smallPlan()
 	fb, err := plan.newFleetBuilder()
@@ -447,7 +414,11 @@ func TestFleetBuilderRecyclesAllocations(t *testing.T) {
 		}
 	})
 	fresh := testing.AllocsPerRun(50, func() {
-		if _, err := plan.build(3, true); err != nil {
+		cold, err := plan.newFleetBuilder()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := cold.build(3, true); err != nil {
 			t.Fatal(err)
 		}
 	})

@@ -158,24 +158,6 @@ type Fleet struct {
 	truth [][]fault.Fault
 }
 
-// build instantiates the plan. When derive is true, each memory's seed
-// is replaced by a splitmix64 mix of base, the spec seed and the memory
-// index — the deterministic per-device seeding RunFleet and WithSeed
-// use; the same (base, plan) pair always builds the same fleet.
-func (p Plan) build(base int64, derive bool) (*Fleet, error) {
-	s := p.soc()
-	if derive {
-		for i := range s.Memories {
-			s.Memories[i].Seed = mixSeed(base, s.Memories[i].Seed, i)
-		}
-	}
-	mems, truth, err := s.Build()
-	if err != nil {
-		return nil, err
-	}
-	return &Fleet{plan: p, mems: mems, truth: truth}, nil
-}
-
 // Len returns the number of memories in the fleet.
 func (f *Fleet) Len() int { return len(f.mems) }
 
@@ -196,9 +178,8 @@ func (f *Fleet) WidestWidth() int { return f.plan.WidestWidth() }
 // the behavioural memories and fault generators are allocated once and
 // every build resets, reseeds and re-injects them, so a fleet worker
 // diagnosing millions of devices stops paying ~an allocation per row
-// per device. Builds are identical to Plan.build with the same seeds
-// (pinned by differential fleet tests). Not safe for concurrent use;
-// each fleet worker owns one.
+// per device. A single run builds once on a fresh one. Not safe for
+// concurrent use; each fleet worker owns one.
 type fleetBuilder struct {
 	plan  Plan
 	b     *config.Builder
@@ -214,9 +195,13 @@ func (p Plan) newFleetBuilder() (*fleetBuilder, error) {
 	return &fleetBuilder{plan: p, b: cb, seeds: make([]int64, len(p.Memories))}, nil
 }
 
-// build mirrors Plan.build on the recycled storage. The returned
-// Fleet's memories are valid until the next build; its ground truth is
-// freshly allocated (evaluated results may retain it).
+// build instantiates the plan on the recycled storage. When derive is
+// true, each memory's seed is replaced by a splitmix64 mix of base, the
+// spec seed and the memory index — the deterministic per-device seeding
+// RunFleet and WithSeed use; the same (base, plan) pair always builds
+// the same fleet. The returned Fleet's memories are valid until the
+// next build; its ground truth is freshly allocated (evaluated results
+// may retain it).
 func (fb *fleetBuilder) build(base int64, derive bool) (*Fleet, error) {
 	var seeds []int64
 	if derive {

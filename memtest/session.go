@@ -27,13 +27,9 @@ type Session struct {
 	seedSet bool
 
 	report *Report // last single-run report, for evaluate/Trace
-	// runner, when non-nil, executes the engine with reusable state;
-	// RunFleet gives each worker's private Session copy its own (see
-	// ReusableEngine).
-	runner EngineRunner
 	// builder, when non-nil, builds each device's fleet on recycled
-	// memories instead of allocating fresh ones; RunFleetRange gives
-	// each worker's private Session copy its own.
+	// memories; RunFleetRange gives each worker's private Session copy
+	// its own, and a single run builds on a fresh one.
 	builder *fleetBuilder
 	// observe, when non-nil, is called once per device as a fleet
 	// worker finishes diagnosing it (see WithDeviceObserver).
@@ -41,11 +37,6 @@ type Session struct {
 	// noBatch forces the per-device fleet path even when the engine is
 	// a BatchEngine — the differential suite's reference arm.
 	noBatch bool
-	// divergeLane, when non-nil, forces the batch path to treat the
-	// given device as unbankable — a test hook exercising the
-	// lane-divergence slow path on plans that never draw unbankable
-	// fault classes.
-	divergeLane func(device int) bool
 	// truthBuf recycles the per-lane ground-truth staging across a
 	// worker's batches.
 	truthBuf [][][]fault.Fault
@@ -162,15 +153,6 @@ func WithMarchTest(t MarchTest) Option {
 	}
 }
 
-// WithAnalyticBaseline forces the baseline engine's coarse accounting
-// model even for small fleets.
-func WithAnalyticBaseline() Option {
-	return func(s *Session) error {
-		s.eopt.AnalyticBaseline = true
-		return nil
-	}
-}
-
 // New validates the plan, applies the options and resolves the engine
 // (default "proposed"). Errors wrap the package's sentinel errors.
 func New(plan Plan, opts ...Option) (*Session, error) {
@@ -205,21 +187,18 @@ func (s *Session) Trace() []TraceEvent { return s.eopt.Trace.Events() }
 
 // runOnce builds one device's fleet and runs the engine on it.
 func (s *Session) runOnce(ctx context.Context, base int64, derive bool) (*Fleet, *Report, error) {
-	var f *Fleet
-	var err error
-	if s.builder != nil {
-		f, err = s.builder.build(base, derive)
-	} else {
-		f, err = s.plan.build(base, derive)
+	fb := s.builder
+	if fb == nil {
+		var err error
+		if fb, err = s.plan.newFleetBuilder(); err != nil {
+			return nil, nil, err
+		}
 	}
+	f, err := fb.build(base, derive)
 	if err != nil {
 		return nil, nil, err
 	}
-	run := s.engine.Run
-	if s.runner != nil {
-		run = s.runner.Run
-	}
-	rep, err := run(ctx, f, s.eopt)
+	rep, err := s.engine.Run(ctx, f, s.eopt)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -354,6 +333,15 @@ func (s *Session) RunFleetRange(ctx context.Context, lo, hi int) iter.Seq2[Devic
 			workers = runtime.GOMAXPROCS(0)
 		}
 		workers = min(workers, hi-lo)
+		builders := make([]*fleetBuilder, workers)
+		for w := range builders {
+			fb, err := s.plan.newFleetBuilder()
+			if err != nil {
+				yield(DeviceResult{Device: lo}, err)
+				return
+			}
+			builders[w] = fb
+		}
 
 		// tokens holds one entry per claim in flight, counting the one
 		// being yielded, so its capacity is the reorder window. Claims
@@ -389,36 +377,25 @@ func (s *Session) RunFleetRange(ctx context.Context, lo, hi int) iter.Seq2[Devic
 
 		var wg sync.WaitGroup
 		// Each worker owns a shallow Session copy so per-run state
-		// (report caching, trace) never races across devices, plus —
-		// when the engine supports it — a private reusable runner, so
-		// engine scratch state is built once per worker instead of per
-		// device, and a private fleet builder, so each device's
-		// memories recycle the worker's allocation instead of
-		// rebuilding ~an allocation per row per device. When the engine
-		// is a BatchEngine, workers claim whole bit-sliced batches
-		// instead of single devices: one schedule pass diagnoses up to
-		// BatchRunner.Lanes devices at once, and only unbankable lanes
-		// fall back to the per-device path. Both paths yield
-		// byte-identical per-device results, so the claiming granularity
-		// never shows in the stream.
-		reusable, _ := s.engine.(ReusableEngine)
+		// (report caching, trace) never races across devices, plus a
+		// private fleet builder, so each device's memories recycle the
+		// worker's allocation instead of rebuilding ~an allocation per
+		// row per device. When the engine is a BatchEngine, workers
+		// claim whole bit-sliced batches instead of single devices: one
+		// schedule pass diagnoses up to BatchRunner.Lanes devices at
+		// once. Both paths yield byte-identical per-device results, so
+		// the claiming granularity never shows in the stream.
 		batcher, _ := s.engine.(BatchEngine)
 		if s.noBatch {
 			batcher = nil
 		}
-		for w := 0; w < workers; w++ {
+		for _, fb := range builders {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
 				local := *s
 				local.eopt.Trace = nil // trace is single-run only
-				if reusable != nil {
-					local.runner = reusable.NewRunner()
-				}
-				// The plan was validated at New, so builder creation
-				// cannot realistically fail; a nil builder just falls
-				// back to per-device fresh builds.
-				local.builder, _ = s.plan.newFleetBuilder()
+				local.builder = fb
 				if batcher != nil {
 					br := batcher.NewBatchRunner()
 					for {
@@ -506,40 +483,24 @@ type fleetMsg struct {
 	err error
 }
 
-// buildDevice builds one device's fleet on the worker's recycled
-// builder (falling back to a fresh build if none was created).
-func (s *Session) buildDevice(base int64) (*Fleet, error) {
-	if s.builder != nil {
-		return s.builder.build(base, true)
-	}
-	return s.plan.build(base, true)
-}
-
 // runBatch diagnoses devices [d0, d0+size) as one bit-sliced batch:
 // each device is built on the worker's pooled builder (the same build,
 // seeds and defect draw as the per-device path) and its fault list is
 // staged into lane d-d0; one RunBatch pass then produces every lane's
-// report. Lanes the batch cannot model — unbankable fault classes, or
-// a test-injected divergence — are re-diagnosed on the per-device slow
-// path, reusing the worker's pooled builder and runner. Outcomes go
-// to out in ascending device order, so an error stands in for the
-// device it belongs to; on a build/load error, the already staged lanes
+// report. Outcomes go to out in ascending device order, so an error
+// stands in for the device it belongs to; on a build/load error —
+// including a device with an unbankable fault, which the batch path
+// refuses rather than diagnose wrongly — the already staged lanes
 // still run and deliver (the ordered stream would otherwise wait on
 // them forever) before the failing device's error is sent. It reports
 // whether the worker should keep claiming batches.
 func (s *Session) runBatch(ctx context.Context, br BatchRunner, d0, size int, out chan<- fleetMsg) bool {
 	truths := s.truthBuf[:0]
-	var divergent uint64
 	var loadErr error
 	for l := 0; l < size; l++ {
-		d := d0 + l
-		f, err := s.buildDevice(deviceSeed(s.seed, d))
+		f, err := s.builder.build(deviceSeed(s.seed, d0+l), true)
 		if err == nil {
-			var bankable bool
-			bankable, err = br.Load(l, f)
-			if err == nil && (!bankable || (s.divergeLane != nil && s.divergeLane(d))) {
-				divergent |= 1 << uint(l)
-			}
+			err = br.Load(l, f)
 		}
 		if err != nil {
 			loadErr = err
@@ -559,22 +520,10 @@ func (s *Session) runBatch(ctx context.Context, br BatchRunner, d0, size int, ou
 			return false
 		}
 		for l := 0; l < loaded; l++ {
-			d := d0 + l
-			var res *Result
-			if divergent>>uint(l)&1 != 0 {
-				f, rep, err := s.runOnce(ctx, deviceSeed(s.seed, d), true)
-				if err != nil {
-					out <- fleetMsg{err: err}
-					return false
-				}
-				res = s.resultFrom(f, rep)
-			} else {
-				res = s.resultFromTruth(truths[l], reports[l])
-			}
 			if s.observe != nil {
-				s.observe(d)
+				s.observe(d0 + l)
 			}
-			out <- fleetMsg{res: res}
+			out <- fleetMsg{res: s.resultFromTruth(truths[l], reports[l])}
 		}
 	}
 	if loadErr != nil {

@@ -73,7 +73,7 @@ func TestRunHonorsCancelledContext(t *testing.T) {
 	}
 }
 
-func TestAnalyticBaselineHonorsCancelledContext(t *testing.T) {
+func TestBaselineAnalyticModeHonorsCancelledContext(t *testing.T) {
 	// Benchmark16 exceeds AnalyticThresholdCells, so the baseline
 	// engine auto-routes to the analytic model — which must also honor
 	// cancellation.
