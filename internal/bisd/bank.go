@@ -7,7 +7,6 @@ import (
 	"repro/internal/bitvec"
 	"repro/internal/fault"
 	"repro/internal/march"
-	"repro/internal/serial"
 	"repro/internal/sram"
 )
 
@@ -23,7 +22,8 @@ import (
 //
 //   - written[i][addr] is the word every fault-free lane of memory i
 //     holds — the SPC delivered it to all lanes alike;
-//   - expected[i][addr] is the comparator's intent, DP[c_i-1:0].
+//   - the controller's comparator shadow holds its intent,
+//     DP[c_i-1:0].
 //
 // Under MSB-first delivery the two coincide and a clean cell can never
 // miscompare, so a read only examines the row's special cells. Under
@@ -45,114 +45,20 @@ import (
 // differential suites). A BankRunner is not safe for concurrent use;
 // give each fleet worker its own.
 type BankRunner struct {
-	// Cached sizing; state below is rebuilt when it stops matching.
-	geoms []geometry
-	nMax  int
-	cMax  int
-	order serial.Order
-
-	trigger  *AddressTrigger
-	bgGen    *BackgroundGenerator
-	colls    []*collector // one per lane
-	spcs     []*serial.SPC
-	addrGens []*LocalAddressGenerator
-	written  [][]bitvec.Vector
-	expected [][]bitvec.Vector
+	controller
+	colls   []*collector // one per lane
+	written [][]bitvec.Vector
 	// located[locBase[i] + phys*c_i + bit] is memory i's lane-mask word
 	// for the cell.
 	located []uint64
 	locBase []int
-	// Per-memory word buffers, refreshed once per element (see
-	// ProposedRunner).
-	spcWord     []bitvec.Vector
-	spcWordInv  []bitvec.Vector
-	intended    []bitvec.Vector
-	intendedInv []bitvec.Vector
 	// Per-read special-cell scratch.
-	senseBits   []int32
-	senseVals   []uint64
-	geomScratch []geometry
+	senseBits []int32
+	senseVals []uint64
 }
 
 // NewBankRunner returns an empty runner; the first Run sizes it.
 func NewBankRunner() *BankRunner { return &BankRunner{} }
-
-// fit (re)builds the geometry-dependent state unless the cached state
-// already matches the banks.
-func (r *BankRunner) fit(banks []*sram.MemoryBank, order serial.Order) {
-	r.geomScratch = r.geomScratch[:0]
-	nMax, cMax := 0, 0
-	for _, b := range banks {
-		r.geomScratch = append(r.geomScratch, geometry{n: b.N(), c: b.C()})
-		nMax = max(nMax, b.N())
-		cMax = max(cMax, b.C())
-	}
-	if r.bankMatches(r.geomScratch, order) {
-		// Every nonzero located word names a cell that some lane
-		// appended, so the lanes' located lists clear the array in
-		// O(located cells) before the collectors truncate them.
-		for _, c := range r.colls {
-			for i := range c.mems {
-				base, w := r.locBase[i], r.geoms[i].c
-				for _, cell := range c.mems[i].cells {
-					r.located[base+cell.Addr*w+cell.Bit] = 0
-				}
-			}
-			c.reset(r.geoms)
-		}
-		for i := range banks {
-			for a := range r.written[i] {
-				r.written[i][a].Fill(false)
-				r.expected[i][a].Fill(false)
-			}
-			r.spcs[i].Reset()
-		}
-		return
-	}
-	r.geoms = append([]geometry(nil), r.geomScratch...)
-	r.nMax, r.cMax, r.order = nMax, cMax, order
-	r.trigger = NewAddressTrigger(nMax)
-	r.bgGen = NewBackgroundGenerator(cMax, order)
-	r.colls = make([]*collector, sram.BankLanes)
-	for l := range r.colls {
-		r.colls[l] = newLaneCollector(r.geoms)
-	}
-	r.spcs = make([]*serial.SPC, len(banks))
-	r.addrGens = make([]*LocalAddressGenerator, len(banks))
-	r.written = make([][]bitvec.Vector, len(banks))
-	r.expected = make([][]bitvec.Vector, len(banks))
-	r.spcWord = make([]bitvec.Vector, len(banks))
-	r.spcWordInv = make([]bitvec.Vector, len(banks))
-	r.intended = make([]bitvec.Vector, len(banks))
-	r.intendedInv = make([]bitvec.Vector, len(banks))
-	r.locBase = make([]int, len(banks))
-	cells := 0
-	for i, b := range banks {
-		r.locBase[i] = cells
-		cells += b.N() * b.C()
-		r.spcs[i] = serial.NewSPC(b.C())
-		r.addrGens[i] = NewLocalAddressGenerator(b.N())
-		r.written[i] = bitvec.NewMatrix(b.C(), b.N())
-		r.expected[i] = bitvec.NewMatrix(b.C(), b.N())
-		r.spcWord[i] = bitvec.New(b.C())
-		r.spcWordInv[i] = bitvec.New(b.C())
-		r.intended[i] = bitvec.New(b.C())
-		r.intendedInv[i] = bitvec.New(b.C())
-	}
-	r.located = make([]uint64, cells)
-}
-
-func (r *BankRunner) bankMatches(geoms []geometry, order serial.Order) bool {
-	if r.trigger == nil || r.order != order || len(r.geoms) != len(geoms) {
-		return false
-	}
-	for i, g := range geoms {
-		if r.geoms[i] != g {
-			return false
-		}
-	}
-	return true
-}
 
 // Run executes one banked batch: the devices loaded into bank lanes
 // [0, lanes) run the March schedule once, word-wide across lanes, and
@@ -162,63 +68,46 @@ func (r *BankRunner) bankMatches(geoms []geometry, order serial.Order) bool {
 // have accumulated. opt.Trace is ignored: fleet batches run untraced,
 // as fleet workers do on the per-device path.
 func (r *BankRunner) Run(banks []*sram.MemoryBank, lanes int, test march.Test, opt ProposedOptions) ([]*Report, error) {
-	if len(banks) == 0 {
-		return nil, fmt.Errorf("bisd: empty fleet")
-	}
 	if lanes < 1 || lanes > sram.BankLanes {
 		return nil, fmt.Errorf("bisd: bank lanes %d out of range [1, %d]", lanes, sram.BankLanes)
 	}
-	if err := test.Validate(); err != nil {
+	reused, err := fit(&r.controller, banks, test, &opt)
+	if err != nil {
 		return nil, err
 	}
-	if opt.ClockNs == 0 {
-		opt.ClockNs = 10
+	if reused {
+		r.reset()
+	} else {
+		r.colls = make([]*collector, sram.BankLanes)
+		for l := range r.colls {
+			r.colls[l] = newLaneCollector(r.geoms)
+		}
+		r.written = make([][]bitvec.Vector, len(r.geoms))
+		r.locBase = make([]int, len(r.geoms))
+		cells := 0
+		for i, g := range r.geoms {
+			r.locBase[i] = cells
+			cells += g.n * g.c
+			r.written[i] = bitvec.NewMatrix(g.c, g.n)
+		}
+		r.located = make([]uint64, cells)
 	}
-	cg := &ControlGenerator{NWRTMWired: !opt.DisableNWRTM}
-	if err := cg.Check(test); err != nil {
-		return nil, err
-	}
-
-	r.fit(banks, opt.DeliveryOrder)
-	trigger, bgGen := r.trigger, r.bgGen
-	spcs, addrGens := r.spcs, r.addrGens
-	spcWord, spcWordInv := r.spcWord, r.spcWordInv
-	intended, intendedInv := r.intended, r.intendedInv
+	comp, addrGens := r.comp, r.addrGens
+	spcWord, spcWordInv, intended, intendedInv := r.spcWord, r.spcWordInv, r.intended, r.intendedInv
 	cMax := r.cMax
 	laneMask := ^uint64(0) >> uint(64-lanes)
 
-	var cycles int64
-	var retentionNs float64
-	nBgs := bitvec.NumBackgrounds(cMax)
-	if test.BackgroundCount < nBgs {
-		nBgs = test.BackgroundCount
+	opt.Trace = nil
+	hold := func(ms float64) {
+		for _, b := range banks {
+			b.Hold(ms)
+		}
 	}
-
-	elemIdx := 0
-	runElement := func(e march.Element, bgIdx int) error {
-		if err := ctxErr(opt.Ctx); err != nil {
-			return err
-		}
-		if e.DelayMs > 0 {
-			for _, b := range banks {
-				b.Hold(e.DelayMs)
-			}
-			retentionNs += e.DelayMs * 1e6
-		}
-		pattern := bgGen.Pattern(bgIdx)
-		if e.Writes() > 0 {
-			cycles += int64(bgGen.Deliver(pattern, spcs))
-		}
-		for i := range banks {
-			spcs[i].WordInto(spcWord[i])
-			spcWordInv[i].InvertFrom(spcWord[i])
-			intended[i].CopyTruncated(pattern)
-			intendedInv[i].InvertFrom(intended[i])
-		}
-		for ai, logical := range trigger.Sequence(e.Order) {
+	cycles, retentionNs, err := r.run(test, opt, hold, func(e march.Element, elemIdx, bgIdx int, cycles int64) (int64, error) {
+		for ai, logical := range r.trigger.Sequence(e.Order) {
 			if ai&(cancelPollInterval-1) == cancelPollInterval-1 {
 				if err := ctxErr(opt.Ctx); err != nil {
-					return err
+					return cycles, err
 				}
 			}
 			for opIdx, op := range e.Ops {
@@ -248,13 +137,13 @@ func (r *BankRunner) Run(banks []*sram.MemoryBank, lanes int, test march.Test, o
 							b.Write(phys, word)
 						}
 						r.written[i][phys].CopyFrom(word)
-						r.expected[i][phys].CopyFrom(want)
+						comp.NoteWrite(i, phys, want)
 					}
 				case march.Read:
 					cycles += 1 + int64(cMax)
 					for i, b := range banks {
 						phys := addrGens[i].Map(logical)
-						wrote, want := r.written[i][phys], r.expected[i][phys]
+						wrote, want := r.written[i][phys], comp.Expected(i, phys)
 						r.senseBits, r.senseVals = b.SenseRow(phys, r.senseBits[:0], r.senseVals[:0])
 						if wrote.Equal(want) {
 							// Clean cells sense exactly the expected bit,
@@ -289,30 +178,10 @@ func (r *BankRunner) Run(banks []*sram.MemoryBank, lanes int, test march.Test, o
 				}
 			}
 		}
-		elemIdx++
-		return nil
-	}
-
-	for i := 0; i < len(test.Elements); {
-		if !repeatedElement(test, i) {
-			if err := runElement(test.Elements[i], 0); err != nil {
-				return nil, err
-			}
-			i++
-			continue
-		}
-		j := i
-		for j < len(test.Elements) && repeatedElement(test, j) {
-			j++
-		}
-		for bg := 1; bg < nBgs; bg++ {
-			for k := i; k < j; k++ {
-				if err := runElement(test.Elements[k], bg); err != nil {
-					return nil, err
-				}
-			}
-		}
-		i = j
+		return cycles, nil
+	})
+	if err != nil {
+		return nil, err
 	}
 
 	reports := make([]*Report, lanes)
@@ -324,6 +193,27 @@ func (r *BankRunner) Run(banks []*sram.MemoryBank, lanes int, test march.Test, o
 		}
 	}
 	return reports, nil
+}
+
+// reset clears the previous batch's per-lane state for a same-shape
+// run. Every nonzero located word names a cell that some lane
+// appended, so the lanes' located lists clear the array in O(located
+// cells) before the collectors truncate them.
+func (r *BankRunner) reset() {
+	for _, c := range r.colls {
+		for i := range c.mems {
+			base, w := r.locBase[i], r.geoms[i].c
+			for _, cell := range c.mems[i].cells {
+				r.located[base+cell.Addr*w+cell.Bit] = 0
+			}
+		}
+		c.reset(r.geoms)
+	}
+	for _, mem := range r.written {
+		for _, w := range mem {
+			w.Fill(false)
+		}
+	}
 }
 
 // recordMismatch registers one failing bit for every lane set in mism:

@@ -61,7 +61,8 @@ func RunBaseline(mems []*sram.Memory, opt BaselineOptions) (*Report, error) {
 	if opt.ClockNs == 0 {
 		opt.ClockNs = 10
 	}
-	nMax, cMax, geoms := fleetGeometry(mems)
+	geoms := shapeOf(nil, mems)
+	nMax, cMax := bounds(geoms)
 	if opt.MaxIterations == 0 {
 		opt.MaxIterations = nMax*cMax + 1
 	}
@@ -250,7 +251,8 @@ func RunSingleDirectional(mems []*sram.Memory, clockNs float64) (*Report, error)
 	if clockNs == 0 {
 		clockNs = 10
 	}
-	nMax, cMax, geoms := fleetGeometry(mems)
+	geoms := shapeOf(nil, mems)
+	nMax, cMax := bounds(geoms)
 	coll := newCollector(geoms)
 	rep := &Report{Scheme: "single-directional serial [9,10]", ClockNs: clockNs}
 	for i, m := range mems {

@@ -1,12 +1,14 @@
 package bisd
 
 import (
+	"context"
 	"fmt"
+	"slices"
 
 	"repro/internal/bitvec"
 	"repro/internal/march"
 	"repro/internal/serial"
-	"repro/internal/sram"
+	"repro/internal/trace"
 )
 
 // The shared BISD controller of Fig. 3, decomposed into the blocks the
@@ -111,14 +113,11 @@ type ComparatorArray struct {
 	diffBuf []int
 }
 
-// NewComparatorArray sizes the shadow state for the fleet.
-func NewComparatorArray(mems []*sram.Memory) *ComparatorArray {
-	ca := &ComparatorArray{expected: make([][]bitvec.Vector, len(mems))}
-	for i, m := range mems {
-		ca.expected[i] = make([]bitvec.Vector, m.N())
-		for a := range ca.expected[i] {
-			ca.expected[i][a] = bitvec.New(m.C())
-		}
+// newComparatorArray sizes the shadow state for the fleet.
+func newComparatorArray(geoms []geometry) *ComparatorArray {
+	ca := &ComparatorArray{expected: make([][]bitvec.Vector, len(geoms))}
+	for i, g := range geoms {
+		ca.expected[i] = bitvec.NewMatrix(g.c, g.n)
 	}
 	return ca
 }
@@ -176,4 +175,196 @@ func (cg *ControlGenerator) Check(t march.Test) error {
 		return fmt.Errorf("bisd: test %q needs the NWRTM control wire, which is not present", t.Name)
 	}
 	return nil
+}
+
+// controller is the shared BISD controller of Fig. 3 as the proposed
+// engine runs it: the blocks above plus the per-memory SPCs and local
+// address generators they drive. Everything here is fault-independent,
+// so ProposedRunner (one device) and BankRunner (64 bank lanes) embed
+// one controller each and supply only their memory-side address loops.
+// The state is sized for one fleet shape and delivery order and is
+// re-fitted only when those change.
+type controller struct {
+	// Cached sizing; state below is rebuilt when it stops matching.
+	geoms []geometry
+	nMax  int
+	cMax  int
+	order serial.Order
+
+	trigger  *AddressTrigger
+	bgGen    *BackgroundGenerator
+	comp     *ComparatorArray
+	spcs     []*serial.SPC
+	addrGens []*LocalAddressGenerator
+	// Per-memory word buffers, refreshed once per element: the SPC
+	// output and the controller's intended delivery, each with its
+	// complement — the address loops run allocation-free on these.
+	spcWord     []bitvec.Vector
+	spcWordInv  []bitvec.Vector
+	intended    []bitvec.Vector
+	intendedInv []bitvec.Vector
+	geomScratch []geometry
+}
+
+// shape is what sizing needs of a memory; sram.Memory and
+// sram.MemoryBank both have it.
+type shape interface {
+	N() int
+	C() int
+}
+
+// shapeOf appends the geometry of each memory to dst.
+func shapeOf[M shape](dst []geometry, mems []M) []geometry {
+	for _, m := range mems {
+		dst = append(dst, geometry{n: m.N(), c: m.C()})
+	}
+	return dst
+}
+
+// bounds returns the controller sizing: the largest and the widest
+// memory of the fleet (Sec. 3.1).
+func bounds(geoms []geometry) (nMax, cMax int) {
+	for _, g := range geoms {
+		nMax = max(nMax, g.n)
+		cMax = max(cMax, g.c)
+	}
+	return nMax, cMax
+}
+
+// fit checks a run's inputs, defaults opt.ClockNs and sizes c for the
+// fleet and delivery order. When both match the previous run, c keeps
+// its state — the comparator shadow and SPCs are reset, not rebuilt —
+// and fit reports reused, so the caller resets its own state too.
+func fit[M shape](c *controller, mems []M, test march.Test, opt *ProposedOptions) (reused bool, err error) {
+	if len(mems) == 0 {
+		return false, fmt.Errorf("bisd: empty fleet")
+	}
+	if err := test.Validate(); err != nil {
+		return false, err
+	}
+	if opt.ClockNs == 0 {
+		opt.ClockNs = 10
+	}
+	cg := &ControlGenerator{NWRTMWired: !opt.DisableNWRTM}
+	if err := cg.Check(test); err != nil {
+		return false, err
+	}
+	c.geomScratch = shapeOf(c.geomScratch[:0], mems)
+	if c.trigger != nil && c.order == opt.DeliveryOrder && slices.Equal(c.geoms, c.geomScratch) {
+		c.comp.Reset()
+		for _, s := range c.spcs {
+			s.Reset()
+		}
+		return true, nil
+	}
+	c.geoms = slices.Clone(c.geomScratch)
+	c.nMax, c.cMax = bounds(c.geoms)
+	c.order = opt.DeliveryOrder
+	c.trigger = NewAddressTrigger(c.nMax)
+	c.bgGen = NewBackgroundGenerator(c.cMax, c.order)
+	c.comp = newComparatorArray(c.geoms)
+	c.spcs = make([]*serial.SPC, len(c.geoms))
+	c.addrGens = make([]*LocalAddressGenerator, len(c.geoms))
+	c.spcWord = make([]bitvec.Vector, len(c.geoms))
+	c.spcWordInv = make([]bitvec.Vector, len(c.geoms))
+	c.intended = make([]bitvec.Vector, len(c.geoms))
+	c.intendedInv = make([]bitvec.Vector, len(c.geoms))
+	for i, g := range c.geoms {
+		c.spcs[i] = serial.NewSPC(g.c)
+		c.addrGens[i] = NewLocalAddressGenerator(g.n)
+		c.spcWord[i] = bitvec.New(g.c)
+		c.spcWordInv[i] = bitvec.New(g.c)
+		c.intended[i] = bitvec.New(g.c)
+		c.intendedInv[i] = bitvec.New(g.c)
+	}
+	return false, nil
+}
+
+// run walks test's schedule once over the fitted fleet and returns the
+// cycle and retention-pause totals. Per element execution it polls
+// opt.Ctx, holds the memories for a delay element (hold, charged to
+// retentionNs), serially delivers the background before a writing
+// element (cMax cycles) and refreshes the word buffers; element then
+// runs that element's address x op x memory loop from the given cycle
+// count and returns the updated count. Flagged elements repeat per
+// background (Sec. 3.2), truncated to the widest memory's set.
+func (c *controller) run(test march.Test, opt ProposedOptions, hold func(ms float64),
+	element func(e march.Element, elem, bg int, cycles int64) (int64, error)) (cycles int64, retentionNs float64, err error) {
+	nBgs := min(bitvec.NumBackgrounds(c.cMax), test.BackgroundCount)
+	elem := 0
+	for i := 0; i < len(test.Elements); {
+		j, bgFirst, bgEnd := i+1, 0, 1
+		if repeatedElement(test, i) {
+			for j < len(test.Elements) && repeatedElement(test, j) {
+				j++
+			}
+			bgFirst, bgEnd = 1, nBgs
+		}
+		for bg := bgFirst; bg < bgEnd; bg++ {
+			for _, e := range test.Elements[i:j] {
+				if err := ctxErr(opt.Ctx); err != nil {
+					return 0, 0, err
+				}
+				if e.DelayMs > 0 {
+					hold(e.DelayMs)
+					retentionNs += e.DelayMs * 1e6
+				}
+				// The Enabled guards keep the disabled-trace path free
+				// of the variadic boxing Emitf's arguments would
+				// otherwise allocate once per element.
+				if opt.Trace.Enabled() {
+					opt.Trace.Emitf(cycles, trace.ElementStart, "ctrl", "elem %d bg %d: %s", elem, bg, e)
+				}
+				pattern := c.bgGen.Pattern(bg)
+				if e.Writes() > 0 {
+					if opt.Trace.Enabled() {
+						opt.Trace.Emitf(cycles, trace.Delivery, "bggen", "pattern %s", pattern)
+					}
+					cycles += int64(c.bgGen.Deliver(pattern, c.spcs))
+				}
+				// The SPC holds whatever was (last) delivered — the
+				// memory receives that — while the comparator expects
+				// what the controller *intended* to deliver,
+				// DP[c_i-1:0]. With MSB-first delivery the two
+				// coincide; with the hazardous LSB-first order of
+				// Fig. 4 they diverge and diagnosis breaks down.
+				for k, s := range c.spcs {
+					s.WordInto(c.spcWord[k])
+					c.spcWordInv[k].InvertFrom(c.spcWord[k])
+					c.intended[k].CopyTruncated(pattern)
+					c.intendedInv[k].InvertFrom(c.intended[k])
+				}
+				if cycles, err = element(e, elem, bg, cycles); err != nil {
+					return 0, 0, err
+				}
+				elem++
+			}
+		}
+		i = j
+	}
+	return cycles, retentionNs, nil
+}
+
+// cancelPollInterval is the address-loop cancellation granularity:
+// within a March element the optional Ctx is polled every this many
+// addresses, so even a single very large memory aborts promptly
+// instead of finishing a multi-second element first. A power of two
+// keeps the poll check a mask test.
+const cancelPollInterval = 1 << 14
+
+// ctxErr is a non-blocking cancellation poll; a nil context never
+// cancels.
+func ctxErr(ctx context.Context) error {
+	if ctx == nil {
+		return nil
+	}
+	return ctx.Err()
+}
+
+// repeatedElement mirrors march.Test's per-background repetition flag.
+func repeatedElement(t march.Test, i int) bool {
+	if t.BackgroundCount <= 1 || t.PerBackground == nil {
+		return false
+	}
+	return t.PerBackground[i]
 }

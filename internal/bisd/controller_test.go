@@ -1,6 +1,7 @@
 package bisd
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/bitvec"
@@ -78,8 +79,7 @@ func TestBackgroundGeneratorPanics(t *testing.T) {
 }
 
 func TestComparatorArrayShadowAndCompare(t *testing.T) {
-	mems := []*sram.Memory{sram.New(4, 4)}
-	ca := NewComparatorArray(mems)
+	ca := newComparatorArray(shapeOf(nil, []*sram.Memory{sram.New(4, 4)}))
 	w := bitvec.MustParse("1010")
 	ca.NoteWrite(0, 2, w)
 	if !ca.Expected(0, 2).Equal(w) {
@@ -115,11 +115,17 @@ func TestControlGeneratorChecksNWRTMWire(t *testing.T) {
 }
 
 func TestFleetGeometry(t *testing.T) {
-	n, c, geoms := fleetGeometry([]*sram.Memory{sram.New(16, 8), sram.New(64, 4)})
+	geoms := shapeOf(nil, []*sram.Memory{sram.New(16, 8), sram.New(64, 4)})
+	n, c := bounds(geoms)
 	if n != 64 || c != 8 {
 		t.Fatalf("fleet geometry = (%d,%d), want (64,8)", n, c)
 	}
 	if len(geoms) != 2 || geoms[0].n != 16 || geoms[1].c != 4 {
 		t.Fatalf("geoms = %+v", geoms)
+	}
+	// A bank fleet sizes the controller the same way.
+	banks := shapeOf(nil, []*sram.MemoryBank{sram.NewMemoryBank(16, 8), sram.NewMemoryBank(64, 4)})
+	if !slices.Equal(banks, geoms) {
+		t.Fatalf("bank geoms = %+v, want %+v", banks, geoms)
 	}
 }

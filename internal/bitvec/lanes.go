@@ -1,11 +1,10 @@
 package bitvec
 
-// Lane primitives for bit-sliced fleet simulation: the fleet bank
+// Lane primitive for bit-sliced fleet simulation: the fleet bank
 // (internal/sram.MemoryBank) packs 64 devices one per uint64 bit lane,
 // cell-major — word w of a cell holds bit l = device l's stored value.
 // The scalar word a fault-free device would hold broadcasts to a full
-// lane word with LaneMask; Transpose64 converts a 64x64 tile between
-// cell-major lane words and per-device row words.
+// lane word with LaneMask.
 
 // LaneMask broadcasts a scalar bit across all 64 lanes: all-ones when b
 // is set, zero otherwise.
@@ -14,31 +13,4 @@ func LaneMask(b bool) uint64 {
 		return ^uint64(0)
 	}
 	return 0
-}
-
-// LaneBit extracts lane l's bit from a cell-major lane word.
-func LaneBit(w uint64, lane int) bool { return w>>uint(lane)&1 != 0 }
-
-// GatherLane extracts lane l from a run of cell-major lane words into
-// dst: dst bit j becomes words[j]'s lane-l bit. dst must be at least
-// len(words) wide; higher dst bits are left untouched.
-func GatherLane(words []uint64, lane int, dst Vector) {
-	for j, w := range words {
-		dst.Set(j, w>>uint(lane)&1 != 0)
-	}
-}
-
-// Transpose64 bit-transposes the 64x64 bit matrix a in place: bit j of
-// word i moves to bit i of word j. This is the cell-major <-> lane-major
-// pivot for a full bank tile (Hacker's Delight 7-3, block swaps at
-// halving strides).
-func Transpose64(a *[64]uint64) {
-	for j := 32; j != 0; j >>= 1 {
-		m := ^uint64(0) / (1<<uint(j) | 1)
-		for k := 0; k < 64; k = (k + j + 1) &^ j {
-			t := (a[k] ^ a[k+j]>>uint(j)) & m
-			a[k] ^= t
-			a[k+j] ^= t << uint(j)
-		}
-	}
 }

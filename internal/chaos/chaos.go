@@ -222,13 +222,18 @@ func (p *Proxy) pump(w http.ResponseWriter, r *http.Request, body io.Reader, pl 
 					return
 				}
 			}
+			lines++
+			stall := pl.stall && lines >= p.cfg.StallAfterLines
+			if stall {
+				// Count the stall before its line goes out, so a reader
+				// that has seen the line also sees the count.
+				p.stalls.Add(1)
+			}
 			if _, werr := w.Write(line); werr != nil {
 				return
 			}
 			flush()
-			lines++
-			if pl.stall && lines >= p.cfg.StallAfterLines {
-				p.stalls.Add(1)
+			if stall {
 				<-r.Context().Done() // hold the connection open, silent
 				return
 			}

@@ -15,8 +15,8 @@ const BankLanes = 64
 // ErrUnbankable reports a fault class the bit-sliced bank cannot model
 // lane-parallel: SOF needs per-read sense-latch history on every
 // column, and ADOF/CDF remap whole rows or columns, breaking the
-// shared-address invariant the lanes rely on. The caller diverges such
-// a lane to the per-device slow path.
+// shared-address invariant the lanes rely on. A fleet holding one
+// cannot run through the bank; the fleet path reports it as an error.
 var ErrUnbankable = errors.New("sram: fault class not bankable")
 
 // MemoryBank is the bit-sliced (structure-of-arrays) form of up to
@@ -200,7 +200,7 @@ func (b *MemoryBank) checkCell(c fault.Cell) error {
 // Inject adds a fault to one lane, with the same per-lane dup rules as
 // Memory.Inject (at most one victim fault per cell per lane, stuck-at
 // victims may carry linked CFin/CFid). SOF, ADOF and CDF return
-// ErrUnbankable: the caller runs that lane per-device instead.
+// ErrUnbankable and leave the lane unchanged.
 func (b *MemoryBank) Inject(lane int, f fault.Fault) error {
 	if lane < 0 || lane >= BankLanes {
 		return fmt.Errorf("sram: bank lane %d out of range [0, %d)", lane, BankLanes)
@@ -298,9 +298,10 @@ func (b *MemoryBank) Inject(lane int, f fault.Fault) error {
 // LoadLane replays a device's injected fault list (Memory.Faults order)
 // into lane l. It reports ok=false when any fault class is unbankable —
 // the lane is still loaded with its bankable faults, but its results
-// are wrong and the caller must re-run the device per-device. Any
-// other error (range, dup) indicates a caller bug: a list replayed from
-// a successfully built Memory cannot trip the dup rules.
+// would be wrong, so the caller must not run it (the fleet path fails
+// the load with ErrUnbankable). Any other error (range, dup) indicates
+// a caller bug: a list replayed from a successfully built Memory cannot
+// trip the dup rules.
 func (b *MemoryBank) LoadLane(lane int, faults []fault.Fault) (ok bool, err error) {
 	ok = true
 	for _, f := range faults {

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"runtime"
 	"testing"
+
+	"repro/internal/march"
 )
 
 // This file is the cross-path differential wall for the bit-sliced
@@ -84,6 +86,12 @@ func TestBankedFleetDifferential(t *testing.T) {
 		{"mix_lsb_hazard", diffPlan(), 65, []Option{WithSeed(10), WithDRF(), WithWorkers(4),
 			WithDeliveryOrder(LSBFirst)}},
 		{"mostly_clean", cleanDiffPlan(), 65, []Option{WithSeed(11), WithWorkers(4)}},
+		// Weak-write and retention-pause schedules drive the bank's
+		// WriteWeak and Hold, which the default test never calls.
+		{"wwtm", diffPlan(), 65, []Option{WithSeed(14), WithDRF(), WithWorkers(4),
+			WithMarchTest(march.WithWWTM(march.MarchCW(12)))}},
+		{"delay_drf", diffPlan(), 65, []Option{WithSeed(15), WithDRF(), WithWorkers(4),
+			WithMarchTest(march.DelayRetentionTest(100))}},
 		// Paper scale: 256 faults per device, so every lane fails
 		// hundreds of cells, each many times over the schedule.
 		{"paper16_drf", Benchmark16(), 65, []Option{WithSeed(13), WithDRF(), WithWorkers(2)}},

@@ -57,7 +57,11 @@ func TestRestartRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m1, err := service.NewManager(service.Config{Jobs: 2, Queue: 8, Store: stA})
+	// One fleet worker runs the devices one at a time in device order,
+	// so the two releases below finish exactly devices 0 and 1. With
+	// more workers a release can go to device 2 while device 0 still
+	// waits, and the ordered stream never reaches two results.
+	m1, err := service.NewManager(service.Config{Jobs: 2, Queue: 8, FleetWorkers: 1, Store: stA})
 	if err != nil {
 		t.Fatal(err)
 	}
