@@ -172,20 +172,10 @@ func (v Vector) ForEachDiff(o Vector, fn func(bit int)) {
 	}
 }
 
-// ForEachSet calls fn with the position of every set bit, in ascending
-// order, walking words with trailing-zero counts.
-func (v Vector) ForEachSet(fn func(bit int)) {
-	for i, w := range v.words {
-		for w != 0 {
-			fn(i*64 + bits.TrailingZeros64(w))
-			w &= w - 1
-		}
-	}
-}
-
 // NextSet returns the position of the first set bit at or after from,
-// or -1 when no bit at or above from is set — the closure-free
-// iteration form of ForEachSet for allocation-sensitive loops.
+// or -1 when no bit at or above from is set, scanning words with
+// trailing-zero counts — a closure-free way to walk set bits in
+// allocation-sensitive loops.
 func (v Vector) NextSet(from int) int {
 	if from < 0 {
 		from = 0

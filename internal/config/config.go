@@ -1,15 +1,38 @@
-// Package config describes SoC e-SRAM fleets for the diagnosis
-// engines: per-memory geometry and defect profile, plus the diagnosis
-// clock. Configurations round-trip through JSON so fleets can be
-// described in files for the command-line tools.
+// Package config owns the plan schema: SoC e-SRAM fleets for the
+// diagnosis engines, with per-memory geometry and defect profile plus
+// the diagnosis clock, their one validator, the paper's presets and the
+// recycling fault Builder. memtest re-exports SoC and Memory as Plan
+// and MemorySpec; configurations round-trip through JSON so fleets can
+// be described in files for the command-line tools.
 package config
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 
 	"repro/internal/fault"
 	"repro/internal/sram"
+)
+
+// Sentinel errors for invalid plans. Validation errors wrap one of
+// these (with the plan or memory name attached). They keep the memtest
+// prefix because memtest re-exports them and the service puts their
+// text in 400 bodies.
+var (
+	// ErrNoMemories reports a plan with an empty fleet.
+	ErrNoMemories = errors.New("memtest: plan has no memories")
+	// ErrBadClock reports a non-positive diagnosis clock period.
+	ErrBadClock = errors.New("memtest: invalid clock period")
+	// ErrBadGeometry reports a memory with non-positive words or width.
+	ErrBadGeometry = errors.New("memtest: invalid memory geometry")
+	// ErrBadDefectRate reports a defect rate outside [0,1].
+	ErrBadDefectRate = errors.New("memtest: defect rate outside [0,1]")
+	// ErrBadDRFCount reports a negative data-retention-fault count.
+	ErrBadDRFCount = errors.New("memtest: negative DRF count")
+	// ErrDuplicateMemoryName reports two memories sharing one name;
+	// results are keyed by name, so names must be unique.
+	ErrDuplicateMemoryName = errors.New("memtest: duplicate memory name")
 )
 
 // Memory describes one e-SRAM and its (synthetic) defect population.
@@ -25,25 +48,27 @@ type Memory struct {
 	// DRFCount injects this many additional data-retention faults,
 	// the defect class the paper adds NWRTM for.
 	DRFCount int `json:"drf_count"`
-	// Seed makes the defect draw reproducible.
+	// Seed makes the defect draw reproducible. memtest's RunFleet
+	// derives a distinct per-device seed from it.
 	Seed int64 `json:"seed"`
 }
 
-// Validate rejects non-physical entries.
+// Validate rejects non-physical entries with typed sentinel errors.
 func (m Memory) Validate() error {
 	if m.Words <= 0 || m.Width <= 0 {
-		return fmt.Errorf("config: memory %q has invalid geometry %dx%d", m.Name, m.Words, m.Width)
+		return fmt.Errorf("%w: memory %q is %dx%d", ErrBadGeometry, m.Name, m.Words, m.Width)
 	}
 	if m.DefectRate < 0 || m.DefectRate > 1 {
-		return fmt.Errorf("config: memory %q defect rate %v out of [0,1]", m.Name, m.DefectRate)
+		return fmt.Errorf("%w: memory %q rate %v", ErrBadDefectRate, m.Name, m.DefectRate)
 	}
 	if m.DRFCount < 0 {
-		return fmt.Errorf("config: memory %q negative DRF count", m.Name)
+		return fmt.Errorf("%w: memory %q count %d", ErrBadDRFCount, m.Name, m.DRFCount)
 	}
 	return nil
 }
 
-// SoC is a fleet of distributed e-SRAMs sharing one BISD controller.
+// SoC is a fleet of distributed e-SRAMs sharing one BISD controller —
+// the plan a memtest Session diagnoses.
 type SoC struct {
 	// Name labels the configuration.
 	Name string `json:"name"`
@@ -53,21 +78,49 @@ type SoC struct {
 	Memories []Memory `json:"memories"`
 }
 
-// Validate checks the whole fleet.
+// Validate checks the whole fleet with typed sentinel errors; memory
+// names must be unique.
 func (s SoC) Validate() error {
 	if len(s.Memories) == 0 {
-		return fmt.Errorf("config: SoC %q has no memories", s.Name)
+		return fmt.Errorf("%w: plan %q", ErrNoMemories, s.Name)
 	}
 	if s.ClockNs <= 0 {
-		return fmt.Errorf("config: SoC %q clock %v ns", s.Name, s.ClockNs)
+		return fmt.Errorf("%w: plan %q clock %v ns", ErrBadClock, s.Name, s.ClockNs)
 	}
+	names := make(map[string]bool, len(s.Memories))
 	for _, m := range s.Memories {
 		if err := m.Validate(); err != nil {
 			return err
 		}
+		if names[m.Name] {
+			return fmt.Errorf("%w: %q", ErrDuplicateMemoryName, m.Name)
+		}
+		names[m.Name] = true
 	}
 	return nil
 }
+
+// WidestWidth returns the largest IO width in the fleet — the width
+// the shared controller is sized for.
+func (s SoC) WidestWidth() int {
+	c := 0
+	for _, m := range s.Memories {
+		c = max(c, m.Width)
+	}
+	return c
+}
+
+// LargestWords returns the largest word count in the fleet.
+func (s SoC) LargestWords() int {
+	n := 0
+	for _, m := range s.Memories {
+		n = max(n, m.Words)
+	}
+	return n
+}
+
+// Marshal renders the configuration as indented JSON.
+func (s SoC) Marshal() ([]byte, error) { return json.MarshalIndent(s, "", "  ") }
 
 // injectDefects draws mc's defect population from gen (which must be
 // positioned at the start of its seeded stream) and injects it into m
@@ -156,21 +209,6 @@ func (b *Builder) Build(seeds []int64) ([]*sram.Memory, [][]fault.Fault, error) 
 		truth[i] = injected
 	}
 	return b.mems, truth, nil
-}
-
-// Marshal renders the configuration as indented JSON.
-func (s SoC) Marshal() ([]byte, error) { return json.MarshalIndent(s, "", "  ") }
-
-// Parse reads a JSON configuration.
-func Parse(data []byte) (SoC, error) {
-	var s SoC
-	if err := json.Unmarshal(data, &s); err != nil {
-		return SoC{}, fmt.Errorf("config: %v", err)
-	}
-	if err := s.Validate(); err != nil {
-		return SoC{}, err
-	}
-	return s, nil
 }
 
 // Benchmark16 is the benchmark e-SRAM configuration of [16] used by the

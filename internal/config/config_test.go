@@ -1,7 +1,7 @@
 package config
 
 import (
-	"strings"
+	"errors"
 	"testing"
 
 	"repro/internal/fault"
@@ -31,16 +31,24 @@ func TestHeterogeneousExampleValid(t *testing.T) {
 }
 
 func TestValidateRejects(t *testing.T) {
-	bad := []SoC{
-		{Name: "no-mems", ClockNs: 10},
-		{Name: "bad-clock", Memories: []Memory{{Name: "m", Words: 4, Width: 4}}},
-		{Name: "bad-geom", ClockNs: 10, Memories: []Memory{{Name: "m", Words: 0, Width: 4}}},
-		{Name: "bad-rate", ClockNs: 10, Memories: []Memory{{Name: "m", Words: 4, Width: 4, DefectRate: 2}}},
-		{Name: "bad-drf", ClockNs: 10, Memories: []Memory{{Name: "m", Words: 4, Width: 4, DRFCount: -1}}},
+	bad := []struct {
+		soc  SoC
+		want error
+	}{
+		{SoC{Name: "no-mems", ClockNs: 10}, ErrNoMemories},
+		{SoC{Name: "bad-clock", Memories: []Memory{{Name: "m", Words: 4, Width: 4}}}, ErrBadClock},
+		{SoC{Name: "bad-geom", ClockNs: 10, Memories: []Memory{{Name: "m", Words: 0, Width: 4}}}, ErrBadGeometry},
+		{SoC{Name: "bad-rate", ClockNs: 10, Memories: []Memory{{Name: "m", Words: 4, Width: 4, DefectRate: 2}}}, ErrBadDefectRate},
+		{SoC{Name: "bad-drf", ClockNs: 10, Memories: []Memory{{Name: "m", Words: 4, Width: 4, DRFCount: -1}}}, ErrBadDRFCount},
+		{SoC{Name: "dup-name", ClockNs: 10, Memories: []Memory{{Name: "m", Words: 4, Width: 4}, {Name: "m", Words: 8, Width: 2}}}, ErrDuplicateMemoryName},
 	}
-	for _, s := range bad {
-		if err := s.Validate(); err == nil {
-			t.Errorf("%s: validated", s.Name)
+	for _, tc := range bad {
+		if err := tc.soc.Validate(); !errors.Is(err, tc.want) {
+			t.Errorf("%s: Validate err = %v, want %v", tc.soc.Name, err, tc.want)
+		}
+		// The builder validates exactly what Validate does.
+		if _, err := NewBuilder(tc.soc); !errors.Is(err, tc.want) {
+			t.Errorf("%s: NewBuilder err = %v, want %v", tc.soc.Name, err, tc.want)
 		}
 	}
 }
@@ -98,35 +106,5 @@ func TestBuildInjectsRequestedDefects(t *testing.T) {
 	}
 	if got := len(mems[0].Faults()); got != len(truth[0]) {
 		t.Fatalf("memory holds %d faults, truth %d", got, len(truth[0]))
-	}
-}
-
-func TestJSONRoundTrip(t *testing.T) {
-	s := HeterogeneousExample()
-	data, err := s.Marshal()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(string(data), "pktbuf") {
-		t.Fatal("marshal lost memory names")
-	}
-	got, err := Parse(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Name != s.Name || len(got.Memories) != len(s.Memories) {
-		t.Fatalf("round trip lost data: %+v", got)
-	}
-	if got.Memories[2].DRFCount != s.Memories[2].DRFCount {
-		t.Fatal("DRF count lost")
-	}
-}
-
-func TestParseRejectsBadJSON(t *testing.T) {
-	if _, err := Parse([]byte("{")); err == nil {
-		t.Fatal("bad JSON accepted")
-	}
-	if _, err := Parse([]byte(`{"name":"x","clock_ns":10,"memories":[]}`)); err == nil {
-		t.Fatal("invalid config accepted")
 	}
 }

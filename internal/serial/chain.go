@@ -270,32 +270,17 @@ func (ch *Chain) ReadPassInto(dir Direction, out bitvec.Vector) {
 	}
 }
 
-// FirstMismatch compares an observed ReadPass stream with the expected
-// pattern in observation order and returns the chain position of the
-// first mismatching bit. With the bi-directional discipline of [7,8] —
-// write in one direction, observe in the other — cells between the
-// observer and the first faulty cell are read out through healthy
+// FirstMismatchPacked compares an observed ReadPass stream with the
+// expected pattern in observation order and returns the chain position
+// of the first mismatching bit. With the bi-directional discipline of
+// [7,8] — write in one direction, observe in the other — cells between
+// the observer and the first faulty cell are read out through healthy
 // stages only, so the first mismatch correctly identifies the nearest
 // faulty cell (Sec. 2: at most one fault per March element per
-// direction). ok is false if the stream matches everywhere.
-func FirstMismatch(observed []bool, expected func(int) bool, dir Direction) (pos int, ok bool) {
-	l := len(observed)
-	for t := 0; t < l; t++ {
-		k := t
-		if dir == Right {
-			k = l - 1 - t
-		}
-		if observed[k] != expected(k) {
-			return k, true
-		}
-	}
-	return 0, false
-}
-
-// FirstMismatchPacked is FirstMismatch over packed vectors: observation
-// order scans from position 0 with Left and from the top with Right, so
-// the first observed mismatch is the lowest (resp. highest) differing
-// bit — one word-parallel diff scan instead of a bit loop.
+// direction). Observation order scans from position 0 with Left and
+// from the top with Right, so the first observed mismatch is the
+// lowest (resp. highest) differing bit — one word-parallel diff scan.
+// ok is false if the stream matches everywhere.
 func FirstMismatchPacked(observed, expected bitvec.Vector, dir Direction) (pos int, ok bool) {
 	if dir == Right {
 		if p := observed.LastDiff(expected); p >= 0 {

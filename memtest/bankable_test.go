@@ -35,7 +35,7 @@ func TestPlanBuildsAreAlwaysBankable(t *testing.T) {
 	const seeds = 64
 	for _, plan := range []Plan{HeterogeneousExample(), Benchmark16(), densePlan()} {
 		t.Run(plan.Name, func(t *testing.T) {
-			fb, err := plan.newFleetBuilder()
+			fb, err := newFleetBuilder(plan)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -68,7 +68,7 @@ func TestPlanBuildsAreAlwaysBankable(t *testing.T) {
 
 func TestBatchLoadRejectsUnbankableFault(t *testing.T) {
 	plan := smallPlan()
-	fb, err := plan.newFleetBuilder()
+	fb, err := newFleetBuilder(plan)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -401,7 +401,7 @@ func TestFleetBuilderMatchesFreshBuilds(t *testing.T) {
 // does.
 func TestFleetBuilderRecyclesAllocations(t *testing.T) {
 	plan := smallPlan()
-	fb, err := plan.newFleetBuilder()
+	fb, err := newFleetBuilder(plan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -414,7 +414,7 @@ func TestFleetBuilderRecyclesAllocations(t *testing.T) {
 		}
 	})
 	fresh := testing.AllocsPerRun(50, func() {
-		cold, err := plan.newFleetBuilder()
+		cold, err := newFleetBuilder(plan)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -34,6 +34,7 @@ import (
 	"errors"
 
 	"repro/internal/bisd"
+	"repro/internal/config"
 	"repro/internal/fault"
 	"repro/internal/march"
 	"repro/internal/repair"
@@ -51,18 +52,18 @@ var (
 	// ErrDuplicateEngine reports a RegisterEngine name collision.
 	ErrDuplicateEngine = errors.New("memtest: engine already registered")
 	// ErrNoMemories reports a plan with an empty fleet.
-	ErrNoMemories = errors.New("memtest: plan has no memories")
+	ErrNoMemories = config.ErrNoMemories
 	// ErrBadClock reports a non-positive diagnosis clock period.
-	ErrBadClock = errors.New("memtest: invalid clock period")
+	ErrBadClock = config.ErrBadClock
 	// ErrBadGeometry reports a memory with non-positive words or width.
-	ErrBadGeometry = errors.New("memtest: invalid memory geometry")
+	ErrBadGeometry = config.ErrBadGeometry
 	// ErrBadDefectRate reports a defect rate outside [0,1].
-	ErrBadDefectRate = errors.New("memtest: defect rate outside [0,1]")
+	ErrBadDefectRate = config.ErrBadDefectRate
 	// ErrBadDRFCount reports a negative data-retention-fault count.
-	ErrBadDRFCount = errors.New("memtest: negative DRF count")
+	ErrBadDRFCount = config.ErrBadDRFCount
 	// ErrDuplicateMemoryName reports two memories sharing one name;
 	// results are keyed by name, so names must be unique.
-	ErrDuplicateMemoryName = errors.New("memtest: duplicate memory name")
+	ErrDuplicateMemoryName = config.ErrDuplicateMemoryName
 	// ErrBadDeviceCount reports a non-positive RunFleet device count.
 	ErrBadDeviceCount = errors.New("memtest: device count must be positive")
 	// ErrBadDeviceRange reports a RunFleetRange with lo < 0 or hi < lo.

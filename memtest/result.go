@@ -48,17 +48,12 @@ type Result struct {
 // TimeNs is the total diagnosis time in ns (cycles plus retention).
 func (r *Result) TimeNs() float64 { return r.Report.TimeNs() }
 
-// evaluate scores one memory's raw engine outcome against the injected
-// ground truth and, when a budget is set, allocates repair.
-func (s *Session) evaluate(f *Fleet, rep *Report, i int) Diagnosis {
-	return s.evaluateMemory(f.plan.Memories[i].Name, f.truth[i], &rep.Memories[i])
-}
-
-// evaluateMemory is evaluate decoupled from the Fleet, so the banked
-// fleet path — whose builder memories are recycled lane to lane and
-// whose staged ground truth outlives the build — scores identically to
-// the per-device path.
-func (s *Session) evaluateMemory(name string, truth []fault.Fault, mr *MemoryReport) Diagnosis {
+// evaluate scores one memory's raw engine outcome against its injected
+// ground truth and, when a budget is set, allocates repair. It takes
+// the truth rather than a Fleet so the banked fleet path — whose
+// builder memories are recycled lane to lane and whose staged ground
+// truth outlives the build — scores identically to the per-device path.
+func (s *Session) evaluate(name string, truth []fault.Fault, mr *MemoryReport) Diagnosis {
 	d := Diagnosis{
 		Name:  name,
 		Words: mr.Words, Width: mr.Width,

@@ -190,7 +190,7 @@ func (s *Session) runOnce(ctx context.Context, base int64, derive bool) (*Fleet,
 	fb := s.builder
 	if fb == nil {
 		var err error
-		if fb, err = s.plan.newFleetBuilder(); err != nil {
+		if fb, err = newFleetBuilder(s.plan); err != nil {
 			return nil, nil, err
 		}
 	}
@@ -224,7 +224,7 @@ func (s *Session) Run(ctx context.Context) iter.Seq2[Diagnosis, error] {
 				yield(Diagnosis{}, err)
 				return
 			}
-			if !yield(s.evaluate(f, rep, i), nil) {
+			if !yield(s.evaluate(s.plan.Memories[i].Name, f.truth[i], &rep.Memories[i]), nil) {
 				return
 			}
 		}
@@ -239,19 +239,15 @@ func (s *Session) RunAll(ctx context.Context) (*Result, error) {
 		return nil, err
 	}
 	s.report = rep
-	return s.resultFrom(f, rep), nil
+	return s.resultFrom(f.truth, rep), nil
 }
 
-// resultFrom evaluates every memory of a completed run.
-func (s *Session) resultFrom(f *Fleet, rep *Report) *Result {
-	return s.resultFromTruth(f.truth, rep)
-}
-
-// resultFromTruth is resultFrom against staged ground truth: the banked
-// fleet path recycles its builder memories lane to lane, so by the time
-// a batch's reports come back only the per-lane truth (freshly
+// resultFrom evaluates every memory of a completed run against its
+// ground truth. It takes the truth rather than a Fleet because the
+// banked fleet path recycles its builder memories lane to lane, so by
+// the time a batch's reports come back only the per-lane truth (freshly
 // allocated per build) survives — which is all evaluation needs.
-func (s *Session) resultFromTruth(truth [][]fault.Fault, rep *Report) *Result {
+func (s *Session) resultFrom(truth [][]fault.Fault, rep *Report) *Result {
 	res := &Result{
 		Engine: s.engine.Name(),
 		Scheme: s.engine.Describe(),
@@ -260,7 +256,7 @@ func (s *Session) resultFromTruth(truth [][]fault.Fault, rep *Report) *Result {
 	}
 	var locatedPerMem [][]Cell
 	for i := range rep.Memories {
-		res.Memories = append(res.Memories, s.evaluateMemory(s.plan.Memories[i].Name, truth[i], &rep.Memories[i]))
+		res.Memories = append(res.Memories, s.evaluate(s.plan.Memories[i].Name, truth[i], &rep.Memories[i]))
 		locatedPerMem = append(locatedPerMem, rep.Memories[i].Located)
 	}
 	if s.budget != (Budget{}) {
@@ -335,7 +331,7 @@ func (s *Session) RunFleetRange(ctx context.Context, lo, hi int) iter.Seq2[Devic
 		workers = min(workers, hi-lo)
 		builders := make([]*fleetBuilder, workers)
 		for w := range builders {
-			fb, err := s.plan.newFleetBuilder()
+			fb, err := newFleetBuilder(s.plan)
 			if err != nil {
 				yield(DeviceResult{Device: lo}, err)
 				return
@@ -413,7 +409,7 @@ func (s *Session) RunFleetRange(ctx context.Context, lo, hi int) iter.Seq2[Devic
 					f, rep, err := local.runOnce(ctx, deviceSeed(s.seed, c.lo), true)
 					var res *Result
 					if err == nil {
-						res = local.resultFrom(f, rep)
+						res = local.resultFrom(f.truth, rep)
 						if local.observe != nil {
 							local.observe(c.lo)
 						}
@@ -523,7 +519,7 @@ func (s *Session) runBatch(ctx context.Context, br BatchRunner, d0, size int, ou
 			if s.observe != nil {
 				s.observe(d0 + l)
 			}
-			out <- fleetMsg{res: s.resultFromTruth(truths[l], reports[l])}
+			out <- fleetMsg{res: s.resultFrom(truths[l], reports[l])}
 		}
 	}
 	if loadErr != nil {
