@@ -32,13 +32,20 @@ import (
 // special and clean bits in ascending order so the failure records
 // stay byte-identical to the per-device path's.
 //
-// A miscompare is recorded for all its failing lanes at once: located
-// holds one lane-mask word per cell of every memory, bit l set once
-// lane l has located that cell, so mism &^ located[cell] is the set of
-// lanes seeing the cell for the first time. Only those lanes append it
-// to their located lists; no lane ever scans its list. The words cover
-// every cell, not only the special ones — under LSB-first delivery
-// clean cells miscompare on every lane.
+// A miscompare is recorded for all its failing lanes at once. The
+// failure records go to one batch log: an entry holds the failing
+// lanes' mask, the bit and the index of its read's record template, so
+// a miscompare costs one append however many lanes fail. After the
+// pass, Run counts each lane's records per memory over the log,
+// allocates every Failures slice at its exact size and fills it in log
+// order, which is each lane's execution order. The located cells go to
+// the lanes' collectors: located holds one lane-mask word per cell of
+// every memory, bit l set once lane l has located that cell, so
+// mism &^ located[cell] is the set of lanes seeing the cell for the
+// first time. Only those lanes append it to their located lists; no
+// lane ever scans its list. The words cover every cell, not only the
+// special ones — under LSB-first delivery clean cells miscompare on
+// every lane.
 //
 // Every lane's Report is byte-identical to what ProposedRunner.Run
 // would produce for that device alone (pinned by the bisd and memtest
@@ -55,6 +62,24 @@ type BankRunner struct {
 	// Per-read special-cell scratch.
 	senseBits []int32
 	senseVals []uint64
+	// log is the batch's miscompare log, execution order. sites holds
+	// the record template of every read that miscompared on some lane;
+	// site is the current read's index into it, -1 until its first
+	// miscompare.
+	log   []miscompare
+	sites []FailureRecord
+	site  int32
+	// counts and fails are fillFailures' per-(lane, memory) scratch,
+	// index lane*len(geoms) + memory.
+	counts []int
+	fails  [][]FailureRecord
+}
+
+// miscompare is one batch log entry: the lanes that failed bit of the
+// read whose record template is sites[site].
+type miscompare struct {
+	mask      uint64
+	site, bit int32
 }
 
 // NewBankRunner returns an empty runner; the first Run sizes it.
@@ -91,7 +116,10 @@ func (r *BankRunner) Run(banks []*sram.MemoryBank, lanes int, test march.Test, o
 			r.written[i] = bitvec.NewMatrix(g.c, g.n)
 		}
 		r.located = make([]uint64, cells)
+		r.counts = make([]int, sram.BankLanes*len(r.geoms))
+		r.fails = make([][]FailureRecord, sram.BankLanes*len(r.geoms))
 	}
+	r.log, r.sites = r.log[:0], r.sites[:0]
 	comp, addrGens := r.comp, r.addrGens
 	spcWord, spcWordInv, intended, intendedInv := r.spcWord, r.spcWordInv, r.intended, r.intendedInv
 	cMax := r.cMax
@@ -145,6 +173,7 @@ func (r *BankRunner) Run(banks []*sram.MemoryBank, lanes int, test march.Test, o
 						phys := addrGens[i].Map(logical)
 						wrote, want := r.written[i][phys], comp.Expected(i, phys)
 						r.senseBits, r.senseVals = b.SenseRow(phys, r.senseBits[:0], r.senseVals[:0])
+						r.site = -1
 						if wrote.Equal(want) {
 							// Clean cells sense exactly the expected bit,
 							// so only the row's special cells can
@@ -192,7 +221,42 @@ func (r *BankRunner) Run(banks []*sram.MemoryBank, lanes int, test march.Test, o
 			Memories: r.colls[l].finish(),
 		}
 	}
+	r.fillFailures(reports)
 	return reports, nil
+}
+
+// fillFailures hands the batch log's records to the lanes' reports:
+// one pass counts each (lane, memory) pair, each Failures slice is
+// allocated at that size, and a second pass fills them in log order.
+func (r *BankRunner) fillFailures(reports []*Report) {
+	nm := len(r.geoms)
+	counts, fails := r.counts, r.fails
+	for _, e := range r.log {
+		mem := r.sites[e.site].Memory
+		for m := e.mask; m != 0; m &= m - 1 {
+			counts[bits.TrailingZeros64(m)*nm+mem]++
+		}
+	}
+	for k, n := range counts {
+		if n > 0 {
+			fails[k] = make([]FailureRecord, 0, n)
+		}
+	}
+	for _, e := range r.log {
+		rec := r.sites[e.site]
+		rec.Bit = int(e.bit)
+		for m := e.mask; m != 0; m &= m - 1 {
+			k := bits.TrailingZeros64(m)*nm + rec.Memory
+			fails[k] = append(fails[k], rec)
+		}
+	}
+	for l, rep := range reports {
+		for i := range rep.Memories {
+			rep.Memories[i].Failures = fails[l*nm+i]
+		}
+	}
+	clear(counts)
+	clear(fails)
 }
 
 // reset clears the previous batch's per-lane state for a same-shape
@@ -217,8 +281,8 @@ func (r *BankRunner) reset() {
 }
 
 // recordMismatch registers one failing bit for every lane set in mism:
-// one record, appended to each failing lane, and the cell, appended to
-// the located list of each lane that has not located it yet.
+// one batch log entry, and the cell, appended to the located list of
+// each lane that has not located it yet.
 func (r *BankRunner) recordMismatch(mism uint64, mem, logical, phys, bit, elem, bg, op int) {
 	if mism == 0 {
 		return
@@ -231,12 +295,12 @@ func (r *BankRunner) recordMismatch(mism uint64, mem, logical, phys, bit, elem, 
 		m := &r.colls[bits.TrailingZeros64(fresh)].mems[mem]
 		m.cells = append(m.cells, cell)
 	}
-	rec := FailureRecord{
-		Memory: mem, LogicalAddr: logical, PhysicalAddr: phys,
-		Bit: bit, Element: elem, Background: bg, Op: op,
+	if r.site < 0 {
+		r.site = int32(len(r.sites))
+		r.sites = append(r.sites, FailureRecord{
+			Memory: mem, LogicalAddr: logical, PhysicalAddr: phys,
+			Element: elem, Background: bg, Op: op,
+		})
 	}
-	for ; mism != 0; mism &= mism - 1 {
-		m := &r.colls[bits.TrailingZeros64(mism)].mems[mem]
-		m.recs = append(m.recs, rec)
-	}
+	r.log = append(r.log, miscompare{mask: mism, site: r.site, bit: int32(bit)})
 }

@@ -111,13 +111,15 @@ func (r *Report) TotalLocated() int {
 // finish copies exact-size slices for the report to retain.
 //
 // Located sets are not small: on the paper's 512x100 e-SRAM with 256
-// faults a device yields ~2,500 records over ~256 located cells, so a
+// faults a device yields ~2,020 records over ~256 located cells, so a
 // list scan per record would cost O(records x located). A per-device
 // collector therefore marks located cells in a bitmap with one bit per
 // cell of the fleet, which reset clears through the located lists in
-// O(located). Bank lanes use lane collectors without the bitmap:
-// BankRunner deduplicates all 64 lanes at once with one lane-mask word
-// per cell and appends only each lane's first-time cells.
+// O(located). Bank lanes use lane collectors, which keep only located
+// cells and have no bitmap: BankRunner deduplicates all 64 lanes at
+// once with one lane-mask word per cell and appends only each lane's
+// first-time cells, and it fills the lanes' Failures from its batch
+// miscompare log after finish.
 type collector struct {
 	results []MemoryResult
 	mems    []memScratch
@@ -128,7 +130,8 @@ type collector struct {
 
 // memScratch is one memory's reusable record and located-cell scratch.
 type memScratch struct {
-	// recs holds the failure records, execution order.
+	// recs holds the failure records, execution order; always empty on
+	// bank lanes.
 	recs []FailureRecord
 	// cells is the located set: unique failing cells, insertion order,
 	// sorted at finish.
@@ -151,8 +154,9 @@ func newCollector(geoms []geometry) *collector {
 	return c
 }
 
-// newLaneCollector returns an append-only collector for one bank lane:
-// its owner appends each located cell exactly once.
+// newLaneCollector returns an append-only located-set collector for
+// one bank lane: its owner appends each located cell exactly once and
+// records no failures through it.
 func newLaneCollector(geoms []geometry) *collector {
 	c := &collector{mems: make([]memScratch, len(geoms))}
 	c.reset(geoms)

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/fault"
 	"repro/internal/march"
+	"repro/internal/serial"
 	"repro/internal/sram"
 )
 
@@ -104,5 +105,66 @@ func TestProposedRunnerReuseAfterFaultyRun(t *testing.T) {
 	}
 	if first, again := run(), run(); again != first {
 		t.Fatalf("reused runner differs from its first run:\nfirst: %s\nagain: %s", first, again)
+	}
+}
+
+// TestBankRunnerReuseAcrossShapeChange runs faulty batch A, faulty
+// batch B of a different fleet geometry (which re-fits the runner) and
+// A again on one runner. Every report must equal a fresh runner's: no
+// miscompare log entry, record template or located word of one batch
+// may reach the next, whichever path — reset or re-fit — the runner
+// takes between them.
+func TestBankRunnerReuseAcrossShapeChange(t *testing.T) {
+	type batch struct {
+		geoms []geometry
+		test  march.Test
+	}
+	load := func(b batch) []*sram.MemoryBank {
+		banks := make([]*sram.MemoryBank, len(b.geoms))
+		for i, g := range b.geoms {
+			banks[i] = sram.NewMemoryBank(g.n, g.c)
+			for l := 0; l < sram.BankLanes; l++ {
+				for _, f := range []fault.Fault{
+					{Class: fault.SA0, Victim: fault.Cell{Addr: l % g.n, Bit: l % g.c}},
+					{Class: fault.TFUp, Victim: fault.Cell{Addr: (3*l + 1) % g.n, Bit: (l + 5) % g.c}},
+					{Class: fault.CFid, Victim: fault.Cell{Addr: (5*l + 2) % g.n, Bit: (l + 1) % g.c},
+						Aggressor: fault.Cell{Addr: (l + 9) % g.n, Bit: (l + 2) % g.c}, Value: l%2 == 0},
+				} {
+					if err := banks[i].Inject(l, f); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+		}
+		return banks
+	}
+	a := batch{[]geometry{{40, 12}, {24, 8}}, march.WithNWRTM(march.MarchCW(12))}
+	b := batch{[]geometry{{32, 10}}, march.MarchCMinus()}
+	for _, order := range []serial.Order{serial.MSBFirst, serial.LSBFirst} {
+		opt := ProposedOptions{ClockNs: 10, DeliveryOrder: order}
+		run := func(r *BankRunner, bt batch) string {
+			reps, err := r.Run(load(bt), sram.BankLanes, bt.test, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for l, rep := range reps {
+				if rep.TotalLocated() == 0 {
+					t.Fatalf("order %v lane %d located nothing; the test is vacuous", order, l)
+				}
+			}
+			data, err := json.Marshal(reps)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return string(data)
+		}
+		reused := NewBankRunner()
+		for step, bt := range []batch{a, b, a} {
+			got, want := run(reused, bt), run(NewBankRunner(), bt)
+			if got != want {
+				t.Fatalf("order %v step %d: reused runner differs from a fresh one:\nreused: %.300s\nfresh:  %.300s",
+					order, step, got, want)
+			}
+		}
 	}
 }

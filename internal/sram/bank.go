@@ -3,6 +3,7 @@ package sram
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"repro/internal/bitvec"
 	"repro/internal/fault"
@@ -27,30 +28,38 @@ var ErrUnbankable = errors.New("sram: fault class not bankable")
 // with no fault in any lane always holds the broadcast of the scalar
 // word last written to it. The bank therefore maintains per-lane data
 // words only at "special" cells (the union of victim and aggressor
-// cells across all lanes, typically a handful per device); every other
-// cell is implicit in the caller's scalar written shadow, and one
-// schedule pass advances all 64 devices at a few word operations per
-// touched row.
+// cells across all lanes: 38 % of the cells of a 64-lane batch of the
+// paper's 512x100 e-SRAM with 256 faults, 46 % on the heterogeneous
+// SoC); every other cell is implicit in the caller's scalar written
+// shadow, and one schedule pass advances all 64 devices at a few word
+// operations per touched row.
+//
+// Inject appends special cells in injection order. The first row
+// operation after loading seals the bank: it reorders the cells into
+// cell order once, so a row's special cells are one contiguous block,
+// ascending bit, and a row walk streams that block instead of
+// gathering cells scattered across the lanes' injection order.
 //
 // Write/read/Hold semantics at special cells mirror Memory exactly,
 // per lane (pinned by FuzzMemoryBank and the bisd/memtest differential
 // suites); couplings are intra-lane, so lanes never interact.
 type MemoryBank struct {
 	n, c int
-	// data[cell] is the lane word of the cell, maintained only at
-	// special cells (clean cells are implicit in the caller's scalar
-	// shadow and stay zero here).
-	data []uint64
-	// cellIdx[cell] indexes the cell's lane-state in cells; -1 = clean.
+	// cellIdx[cell] indexes the cell's lane state in cells; -1 = clean.
 	cellIdx []int32
-	cells   []bankCell
-	// special lists every special cell for O(specials) Reset.
-	special []int32
-	// rowSpecial[row] holds the row's special bit positions, ascending —
-	// the visit order the per-device write/read loops use.
-	rowSpecial [][]int32
+	// cells holds every special cell's lane state. Once sealed, row r's
+	// special cells are cells[rowStart[r]:rowStart[r+1]], ascending
+	// bit — the visit order the per-device write/read loops use.
+	cells    []bankCell
+	rowStart []int32
+	sealed   bool
+	// spare and perm are seal's reorder scratch: the cells are copied
+	// into spare in cell order, perm maps an old index to its new one.
+	spare []bankCell
+	perm  []int32
 	// Entry pools; bankCell heads/tails chain into them so Reset reuses
-	// every allocation.
+	// every allocation. Their cell references are indexes into cells,
+	// remapped by seal.
 	couplings []bankCoupling
 	cfsts     []bankCFst
 	drfs      []bankDRF
@@ -61,23 +70,24 @@ type MemoryBank struct {
 	// skip resetting them — the NWRTM schedule never holds at all.
 	held bool
 
-	// Per-write transition scratch for single-level coupling
-	// propagation.
-	transCell []int32
-	transMask []uint64
-	transNew  []uint64
+	// trans is the per-write transition scratch for single-level
+	// coupling propagation.
+	trans []bankTrans
 }
 
-// bankCell is one special cell's lane state: per-class fault masks
-// (bit l = lane l) plus intrusive list heads into the bank's entry
-// pools.
+// bankCell is one special cell's lane state: its lane word, per-class
+// fault masks (bit l = lane l) and intrusive list heads into the
+// bank's entry pools.
 type bankCell struct {
+	data         uint64
 	sa0, sa1     uint64
 	tfUp, tfDown uint64
 	drf, drfVal  uint64
 	// victims masks the lanes holding any victim fault at this cell
 	// (the Inject dup rule).
-	victims                    uint64
+	victims uint64
+	// pos is the cell's position, addr*c + bit.
+	pos                        int32
 	couplingHead, couplingTail int32
 	cfstHead, cfstTail         int32
 	drfHead, drfTail           int32
@@ -109,10 +119,17 @@ type bankCFst struct {
 // bankDRF is one lane's data-retention fault, chained off its cell.
 type bankDRF struct {
 	next  int32
-	cell  int32
+	cell  int32 // cell index
 	lane  uint8
 	value bool
 	timer float64
+}
+
+// bankTrans is one aggressor transition of a write: the cell index,
+// the lanes that changed and the cell's new lane word.
+type bankTrans struct {
+	cell       int32
+	mask, next uint64
 }
 
 // NewMemoryBank returns an empty n-word by c-bit bank: all lanes
@@ -123,9 +140,8 @@ func NewMemoryBank(n, c int) *MemoryBank {
 	}
 	b := &MemoryBank{
 		n: n, c: c,
-		data:        make([]uint64, n*c),
 		cellIdx:     make([]int32, n*c),
-		rowSpecial:  make([][]int32, n),
+		rowStart:    make([]int32, n+1),
 		retentionMs: DefaultRetentionThresholdMs,
 	}
 	for i := range b.cellIdx {
@@ -147,22 +163,19 @@ func (b *MemoryBank) SetRetentionThreshold(ms float64) { b.retentionMs = ms }
 // Reset returns every lane to the fault-free all-zero state, reusing
 // all allocations; the cost is O(special cells), not O(n*c).
 func (b *MemoryBank) Reset() {
-	for _, cell := range b.special {
-		b.data[cell] = 0
-		b.cellIdx[cell] = -1
-		b.rowSpecial[int(cell)/b.c] = b.rowSpecial[int(cell)/b.c][:0]
+	for i := range b.cells {
+		b.cellIdx[b.cells[i].pos] = -1
 	}
-	b.special = b.special[:0]
 	b.cells = b.cells[:0]
 	b.couplings = b.couplings[:0]
 	b.cfsts = b.cfsts[:0]
 	b.drfs = b.drfs[:0]
 	b.held = false
+	b.sealed = false
 }
 
 // cellAt returns the index into cells of the cell's lane state,
-// creating it (and registering the cell as special in its row) on
-// first use.
+// creating it on first use; a new cell unseals the bank.
 func (b *MemoryBank) cellAt(cell int32) int32 {
 	if ci := b.cellIdx[cell]; ci >= 0 {
 		return ci
@@ -170,24 +183,65 @@ func (b *MemoryBank) cellAt(cell int32) int32 {
 	ci := int32(len(b.cells))
 	b.cellIdx[cell] = ci
 	b.cells = append(b.cells, bankCell{
+		pos:          cell,
 		couplingHead: -1, couplingTail: -1,
 		cfstHead: -1, cfstTail: -1,
 		drfHead: -1, drfTail: -1,
 	})
-	b.special = append(b.special, cell)
-	row, bit := int(cell)/b.c, int32(int(cell)%b.c)
-	// Insertion keeps the row's special list in ascending bit order —
-	// lanes inject in any order, but reads and writes must visit bits
-	// ascending to match the per-device loops.
-	rs := append(b.rowSpecial[row], bit)
-	i := len(rs) - 1
-	for i > 0 && rs[i-1] > bit {
-		rs[i] = rs[i-1]
-		i--
-	}
-	rs[i] = bit
-	b.rowSpecial[row] = rs
+	b.sealed = false
 	return ci
+}
+
+// seal reorders cells into cell order and fills rowStart. Only rows
+// holding special cells are scanned, so the cost is O(n + specials*c)
+// and, once the scratch has grown, allocation-free.
+func (b *MemoryBank) seal() {
+	b.spare = slices.Grow(b.spare[:0], len(b.cells))[:len(b.cells)]
+	b.perm = slices.Grow(b.perm[:0], len(b.cells))[:len(b.cells)]
+	rs := b.rowStart
+	clear(rs)
+	c := int32(b.c)
+	for i := range b.cells {
+		rs[b.cells[i].pos/c+1]++
+	}
+	next := int32(0)
+	for r := 0; r < b.n; r++ {
+		count := rs[r+1]
+		rs[r+1] = rs[r] + count
+		if count == 0 {
+			continue
+		}
+		for cell := int32(r) * c; next < rs[r+1]; cell++ {
+			if old := b.cellIdx[cell]; old >= 0 {
+				b.spare[next] = b.cells[old]
+				b.perm[old] = next
+				b.cellIdx[cell] = next
+				next++
+			}
+		}
+	}
+	b.cells, b.spare = b.spare, b.cells
+	for i := range b.couplings {
+		b.couplings[i].victim = b.perm[b.couplings[i].victim]
+	}
+	for i := range b.cfsts {
+		b.cfsts[i].agg = b.perm[b.cfsts[i].agg]
+	}
+	for i := range b.drfs {
+		b.drfs[i].cell = b.perm[b.drfs[i].cell]
+	}
+	b.sealed = true
+}
+
+// row returns row addr's special cells, ascending bit, and the index
+// of the first in cells, sealing the bank first if needed.
+func (b *MemoryBank) row(addr int) (int32, []bankCell) {
+	b.checkAddr(addr)
+	if !b.sealed {
+		b.seal()
+	}
+	lo := b.rowStart[addr]
+	return lo, b.cells[lo:b.rowStart[addr+1]]
 }
 
 func (b *MemoryBank) checkCell(c fault.Cell) error {
@@ -200,28 +254,35 @@ func (b *MemoryBank) checkCell(c fault.Cell) error {
 // Inject adds a fault to one lane, with the same per-lane dup rules as
 // Memory.Inject (at most one victim fault per cell per lane, stuck-at
 // victims may carry linked CFin/CFid). SOF, ADOF and CDF return
-// ErrUnbankable and leave the lane unchanged.
+// ErrUnbankable and leave the lane unchanged; so does every other
+// rejected fault.
 func (b *MemoryBank) Inject(lane int, f fault.Fault) error {
 	if lane < 0 || lane >= BankLanes {
 		return fmt.Errorf("sram: bank lane %d out of range [0, %d)", lane, BankLanes)
 	}
+	coupling := false
 	switch f.Class {
 	case fault.SOF, fault.ADOF, fault.CDF:
 		return fmt.Errorf("%w: %v", ErrUnbankable, f.Class)
+	case fault.CFin, fault.CFid, fault.CFst:
+		coupling = true
 	}
+	// Range-check every cell before the first cellAt, which would make
+	// the victim special even if the fault is then refused.
 	if err := b.checkCell(f.Victim); err != nil {
 		return err
+	}
+	if coupling {
+		if err := b.checkCell(f.Aggressor); err != nil {
+			return err
+		}
 	}
 	vcell := int32(f.Victim.Addr*b.c + f.Victim.Bit)
 	lb := uint64(1) << uint(lane)
 	vci := b.cellAt(vcell)
 	vc := &b.cells[vci]
 	dup := vc.victims&lb != 0
-	switch f.Class {
-	case fault.CFin, fault.CFid, fault.CFst:
-		if err := b.checkCell(f.Aggressor); err != nil {
-			return err
-		}
+	if coupling {
 		// CFin/CFid semantics live on the aggressor side, so they may
 		// be linked with a stuck-at victim (the stuck value dominates);
 		// everything else keeps the single-fault-per-cell rule.
@@ -229,12 +290,16 @@ func (b *MemoryBank) Inject(lane int, f fault.Fault) error {
 		if dup && !linkedSA {
 			return fmt.Errorf("sram: bank lane %d cell %v already faulty", lane, f.Victim)
 		}
+		// The aggressor cell becomes special (its lane word must be
+		// tracked for activation checks) and chains the coupling. Note
+		// cellAt may grow cells, invalidating vc, so it is re-taken.
+		aci := b.cellAt(int32(f.Aggressor.Addr*b.c + f.Aggressor.Bit))
+		vc = &b.cells[vci]
 		vc.victims |= lb
 		if f.Class == fault.CFst {
 			ei := int32(len(b.cfsts))
-			acell := int32(f.Aggressor.Addr*b.c + f.Aggressor.Bit)
 			b.cfsts = append(b.cfsts, bankCFst{
-				next: -1, agg: acell, lane: uint8(lane),
+				next: -1, agg: aci, lane: uint8(lane),
 				value: f.Value, aggState: f.AggState,
 			})
 			if vc.cfstHead < 0 {
@@ -244,15 +309,10 @@ func (b *MemoryBank) Inject(lane int, f fault.Fault) error {
 			}
 			vc.cfstTail = ei
 		}
-		// The aggressor cell becomes special (its lane word must be
-		// tracked for activation checks) and chains the coupling. Note
-		// cellAt may grow cells, invalidating vc — it is not used past
-		// this point.
-		aci := b.cellAt(int32(f.Aggressor.Addr*b.c + f.Aggressor.Bit))
 		ac := &b.cells[aci]
 		ei := int32(len(b.couplings))
 		b.couplings = append(b.couplings, bankCoupling{
-			next: -1, victim: vcell, lane: uint8(lane), class: f.Class,
+			next: -1, victim: vci, lane: uint8(lane), class: f.Class,
 			dirUp: f.Dir == fault.Up, value: f.Value, aggState: f.AggState,
 		})
 		if ac.couplingHead < 0 {
@@ -261,36 +321,36 @@ func (b *MemoryBank) Inject(lane int, f fault.Fault) error {
 			b.couplings[ac.couplingTail].next = ei
 		}
 		ac.couplingTail = ei
-	default:
-		if dup {
-			return fmt.Errorf("sram: bank lane %d cell %v already faulty", lane, f.Victim)
+		return nil
+	}
+	if dup {
+		return fmt.Errorf("sram: bank lane %d cell %v already faulty", lane, f.Victim)
+	}
+	vc.victims |= lb
+	switch f.Class {
+	case fault.SA0:
+		vc.sa0 |= lb
+		vc.data &^= lb
+	case fault.SA1:
+		vc.sa1 |= lb
+		vc.data |= lb
+	case fault.TFUp:
+		vc.tfUp |= lb
+	case fault.TFDown:
+		vc.tfDown |= lb
+	case fault.DRF:
+		vc.drf |= lb
+		if f.Value {
+			vc.drfVal |= lb
 		}
-		vc.victims |= lb
-		switch f.Class {
-		case fault.SA0:
-			vc.sa0 |= lb
-			b.data[vcell] &^= lb
-		case fault.SA1:
-			vc.sa1 |= lb
-			b.data[vcell] |= lb
-		case fault.TFUp:
-			vc.tfUp |= lb
-		case fault.TFDown:
-			vc.tfDown |= lb
-		case fault.DRF:
-			vc.drf |= lb
-			if f.Value {
-				vc.drfVal |= lb
-			}
-			ei := int32(len(b.drfs))
-			b.drfs = append(b.drfs, bankDRF{next: -1, cell: vcell, lane: uint8(lane), value: f.Value})
-			if vc.drfHead < 0 {
-				vc.drfHead = ei
-			} else {
-				b.drfs[vc.drfTail].next = ei
-			}
-			vc.drfTail = ei
+		ei := int32(len(b.drfs))
+		b.drfs = append(b.drfs, bankDRF{next: -1, cell: vci, lane: uint8(lane), value: f.Value})
+		if vc.drfHead < 0 {
+			vc.drfHead = ei
+		} else {
+			b.drfs[vc.drfTail].next = ei
 		}
+		vc.drfTail = ei
 	}
 	return nil
 }
@@ -328,23 +388,20 @@ func (b *MemoryBank) Write(addr int, w bitvec.Vector) { b.write(addr, w, false) 
 func (b *MemoryBank) WriteNWRC(addr int, w bitvec.Vector) { b.write(addr, w, true) }
 
 func (b *MemoryBank) write(addr int, w bitvec.Vector, nwrc bool) {
-	b.checkAddr(addr)
+	lo, row := b.row(addr)
 	if w.Width() != b.c {
 		panic(fmt.Sprintf("sram: bank write width %d to %d-bit bank", w.Width(), b.c))
 	}
-	rs := b.rowSpecial[addr]
-	if len(rs) == 0 {
+	if len(row) == 0 {
 		return
 	}
-	b.transCell = b.transCell[:0]
-	b.transMask = b.transMask[:0]
-	b.transNew = b.transNew[:0]
+	b.trans = b.trans[:0]
 	base := int32(addr * b.c)
 	ws := w.Words()
-	for _, bit := range rs {
-		cell := base + bit
-		cs := &b.cells[b.cellIdx[cell]]
-		cur := b.data[cell]
+	for i := range row {
+		cs := &row[i]
+		bit := cs.pos - base
+		cur := cs.data
 		v := ws[bit>>6]>>uint(bit&63)&1 != 0
 		// Lanes whose cell is immovable for this write: stuck-at always,
 		// the blocked transition direction for TF, and the NWRC-blocked
@@ -368,7 +425,7 @@ func (b *MemoryBank) write(addr int, w bitvec.Vector, nwrc bool) {
 		var forced, forcedVal uint64
 		for ei := cs.cfstHead; ei >= 0; ei = b.cfsts[ei].next {
 			e := &b.cfsts[ei]
-			if b.data[e.agg]>>e.lane&1 == boolBit(e.aggState) {
+			if b.cells[e.agg].data>>e.lane&1 == boolBit(e.aggState) {
 				flb := uint64(1) << e.lane
 				forced |= flb
 				if e.value {
@@ -384,7 +441,7 @@ func (b *MemoryBank) write(addr int, w bitvec.Vector, nwrc bool) {
 		}
 		next = next&^forced | forcedVal&forced
 		changed := (cur ^ next) &^ forced
-		b.data[cell] = next
+		cs.data = next
 		// Every write to a DRF cell resets its retention timer, even a
 		// value-preserving one — except the NWRC-blocked flip, which
 		// never reaches the cell. Before the first Hold every timer is
@@ -397,9 +454,7 @@ func (b *MemoryBank) write(addr int, w bitvec.Vector, nwrc bool) {
 			}
 		}
 		if changed != 0 && cs.couplingHead >= 0 {
-			b.transCell = append(b.transCell, cell)
-			b.transMask = append(b.transMask, changed)
-			b.transNew = append(b.transNew, next)
+			b.trans = append(b.trans, bankTrans{cell: lo + int32(i), mask: changed, next: next})
 		}
 	}
 	b.propagate()
@@ -409,42 +464,36 @@ func (b *MemoryBank) write(addr int, w bitvec.Vector, nwrc bool) {
 // lane: only DRF cells currently holding their vulnerable value and
 // weakly driven to the opposite one move.
 func (b *MemoryBank) WriteWeak(addr int, w bitvec.Vector) {
-	b.checkAddr(addr)
+	lo, row := b.row(addr)
 	if w.Width() != b.c {
 		panic(fmt.Sprintf("sram: bank weak write width %d to %d-bit bank", w.Width(), b.c))
 	}
-	rs := b.rowSpecial[addr]
-	if len(rs) == 0 {
+	if len(row) == 0 {
 		return
 	}
-	b.transCell = b.transCell[:0]
-	b.transMask = b.transMask[:0]
-	b.transNew = b.transNew[:0]
+	b.trans = b.trans[:0]
 	base := int32(addr * b.c)
-	for _, bit := range rs {
-		cell := base + bit
-		cs := &b.cells[b.cellIdx[cell]]
+	for i := range row {
+		cs := &row[i]
 		if cs.drf == 0 {
 			continue
 		}
-		cur := b.data[cell]
-		vm := bitvec.LaneMask(w.Get(int(bit)))
+		cur := cs.data
+		vm := bitvec.LaneMask(w.Get(int(cs.pos - base)))
 		// Moves: DRF lane, holding the vulnerable value, driven opposite.
 		moved := cs.drf & ^(cur ^ cs.drfVal) & (vm ^ cs.drfVal)
 		if moved == 0 {
 			continue
 		}
 		next := cur ^ moved
-		b.data[cell] = next
+		cs.data = next
 		for di := cs.drfHead; di >= 0; di = b.drfs[di].next {
 			if moved>>b.drfs[di].lane&1 != 0 {
 				b.drfs[di].timer = 0
 			}
 		}
 		if cs.couplingHead >= 0 {
-			b.transCell = append(b.transCell, cell)
-			b.transMask = append(b.transMask, moved)
-			b.transNew = append(b.transNew, next)
+			b.trans = append(b.trans, bankTrans{cell: lo + int32(i), mask: moved, next: next})
 		}
 	}
 	b.propagate()
@@ -454,19 +503,17 @@ func (b *MemoryBank) WriteWeak(addr int, w bitvec.Vector) {
 // single level (induced victim changes do not re-trigger), in the same
 // ascending-bit, injection-chain order the per-device path uses.
 func (b *MemoryBank) propagate() {
-	for ti, cell := range b.transCell {
-		mask, next := b.transMask[ti], b.transNew[ti]
-		cs := &b.cells[b.cellIdx[cell]]
-		for ei := cs.couplingHead; ei >= 0; ei = b.couplings[ei].next {
+	for _, t := range b.trans {
+		for ei := b.cells[t.cell].couplingHead; ei >= 0; ei = b.couplings[ei].next {
 			e := &b.couplings[ei]
-			if mask>>e.lane&1 == 0 {
+			if t.mask>>e.lane&1 == 0 {
 				continue
 			}
-			up := next>>e.lane&1 != 0
+			up := t.next>>e.lane&1 != 0
 			switch e.class {
 			case fault.CFin:
 				if e.dirUp == up {
-					b.setVictim(e.victim, e.lane, b.data[e.victim]>>e.lane&1 == 0)
+					b.setVictim(e.victim, e.lane, b.cells[e.victim].data>>e.lane&1 == 0)
 				}
 			case fault.CFid:
 				if e.dirUp == up {
@@ -481,18 +528,19 @@ func (b *MemoryBank) propagate() {
 	}
 }
 
-// setVictim applies a coupling effect to one lane of a victim cell; a
-// stuck-at victim dominates, and a moved DRF victim's timer resets.
-func (b *MemoryBank) setVictim(cell int32, lane uint8, v bool) {
-	cs := &b.cells[b.cellIdx[cell]]
+// setVictim applies a coupling effect to one lane of the victim cell
+// at index ci; a stuck-at victim dominates, and a moved DRF victim's
+// timer resets.
+func (b *MemoryBank) setVictim(ci int32, lane uint8, v bool) {
+	cs := &b.cells[ci]
 	lb := uint64(1) << lane
 	if (cs.sa0|cs.sa1)&lb != 0 {
 		return
 	}
-	if b.data[cell]&lb != 0 == v {
+	if cs.data&lb != 0 == v {
 		return
 	}
-	b.data[cell] ^= lb
+	cs.data ^= lb
 	if cs.drf&lb != 0 {
 		for di := cs.drfHead; di >= 0; di = b.drfs[di].next {
 			if b.drfs[di].lane == lane {
@@ -505,11 +553,11 @@ func (b *MemoryBank) setVictim(cell int32, lane uint8, v bool) {
 // senseCell returns the lane word a read of the special cell senses:
 // stuck-at overrides, then CFst forcing per active lane. Reads have no
 // bank-side effects (SOF, the only latch-visible class, is unbankable).
-func (b *MemoryBank) senseCell(cell int32, cs *bankCell) uint64 {
-	v := b.data[cell]&^cs.sa0 | cs.sa1
+func (b *MemoryBank) senseCell(cs *bankCell) uint64 {
+	v := cs.data&^cs.sa0 | cs.sa1
 	for ei := cs.cfstHead; ei >= 0; ei = b.cfsts[ei].next {
 		e := &b.cfsts[ei]
-		if b.data[e.agg]>>e.lane&1 == boolBit(e.aggState) {
+		if b.cells[e.agg].data>>e.lane&1 == boolBit(e.aggState) {
 			if e.value {
 				v |= uint64(1) << e.lane
 			} else {
@@ -525,12 +573,11 @@ func (b *MemoryBank) senseCell(cell int32, cs *bankCell) uint64 {
 // the extended slices. Clean bits are absent: every lane senses the
 // caller's scalar written shadow there.
 func (b *MemoryBank) SenseRow(addr int, bits []int32, sensed []uint64) ([]int32, []uint64) {
-	b.checkAddr(addr)
+	_, row := b.row(addr)
 	base := int32(addr * b.c)
-	for _, bit := range b.rowSpecial[addr] {
-		cell := base + bit
-		bits = append(bits, bit)
-		sensed = append(sensed, b.senseCell(cell, &b.cells[b.cellIdx[cell]]))
+	for i := range row {
+		bits = append(bits, row[i].pos-base)
+		sensed = append(sensed, b.senseCell(&row[i]))
 	}
 	return bits, sensed
 }
@@ -540,13 +587,12 @@ func (b *MemoryBank) SenseRow(addr int, bits []int32, sensed []uint64) ([]int32,
 // cells' lane semantics. It is the whole-row observation path the fuzz
 // and differential tests compare against Memory.ReadInto.
 func (b *MemoryBank) ReadInto(addr, lane int, written, out bitvec.Vector) {
-	b.checkAddr(addr)
+	_, row := b.row(addr)
 	out.CopyFrom(written)
 	base := int32(addr * b.c)
-	for _, bit := range b.rowSpecial[addr] {
-		cell := base + bit
-		v := b.senseCell(cell, &b.cells[b.cellIdx[cell]])
-		out.Set(int(bit), v>>uint(lane)&1 != 0)
+	for i := range row {
+		v := b.senseCell(&row[i])
+		out.Set(int(row[i].pos-base), v>>uint(lane)&1 != 0)
 	}
 }
 
@@ -562,10 +608,11 @@ func (b *MemoryBank) Hold(ms float64) {
 	for i := range b.drfs {
 		d := &b.drfs[i]
 		lb := uint64(1) << d.lane
-		if b.data[d.cell]&lb != 0 == d.value {
+		cs := &b.cells[d.cell]
+		if cs.data&lb != 0 == d.value {
 			d.timer += ms
 			if d.timer >= b.retentionMs {
-				b.data[d.cell] ^= lb
+				cs.data ^= lb
 			}
 		} else {
 			d.timer = 0
@@ -578,11 +625,11 @@ func (b *MemoryBank) Hold(ms float64) {
 // value is the caller's written shadow bit.
 func (b *MemoryBank) PeekLane(addr, bit, lane int) (v, special bool) {
 	b.checkCellPosBank(addr, bit)
-	cell := int32(addr*b.c + bit)
-	if b.cellIdx[cell] < 0 {
+	ci := b.cellIdx[addr*b.c+bit]
+	if ci < 0 {
 		return false, false
 	}
-	return b.data[cell]>>uint(lane)&1 != 0, true
+	return b.cells[ci].data>>uint(lane)&1 != 0, true
 }
 
 func (b *MemoryBank) checkAddr(addr int) {

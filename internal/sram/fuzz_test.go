@@ -20,7 +20,9 @@ import (
 // state (a lane's special cells materialize with zeroed lane words),
 // so the program has an injection phase that ends at the first
 // mutating op; inject opcodes drawn after that reinterpret as row
-// inversion writes, keeping the fuzz entropy useful.
+// inversion writes, keeping the fuzz entropy useful. Each input runs
+// twice on one bank: fresh, then after Reset with every fault moved
+// one lane up, so reload and reseal of a used bank are fuzzed too.
 
 // fuzzBankPattern derives a deterministic width-c pattern from a seed
 // byte, splitmix-style, as internal/serial's fuzzPattern does.
@@ -86,138 +88,155 @@ func FuzzMemoryBank(f *testing.F) {
 		for l := range refs {
 			refs[l] = New(n, c)
 		}
-		// written is the scalar shadow every clean cell of every lane
-		// holds — the bank caller's half of the contract.
-		written := bitvec.NewMatrix(c, n)
 		out := bitvec.New(c)
 		refOut := bitvec.New(c)
 
-		mutated := false
-		checkRow := func(addr int) {
-			for l := 0; l < BankLanes; l++ {
-				bank.ReadInto(addr, l, written[addr], out)
-				refs[l].ReadInto(addr, refOut)
-				if !out.Equal(refOut) {
-					t.Fatalf("%dx%d: lane %d row %d sensed %s, reference %s",
-						n, c, l, addr, out, refOut)
-				}
-			}
-		}
-
-		i := 0
-		next := func() (byte, bool) {
-			if i >= len(data) {
-				return 0, false
-			}
-			b := data[i]
-			i++
-			return b, true
-		}
-		for {
-			op, ok := next()
-			if !ok {
-				break
-			}
-			switch op % 6 {
-			case 0: // inject (pristine) / invert a row (after mutation)
-				d0, ok0 := next()
-				d1, ok1 := next()
-				d2, ok2 := next()
-				if !ok0 || !ok1 || !ok2 {
-					return
-				}
-				if mutated {
-					addr := int(d1) % n
-					w := bitvec.New(c)
-					w.InvertFrom(written[addr])
-					bank.Write(addr, w)
-					for _, m := range refs {
-						m.Write(addr, w)
-					}
-					written[addr].CopyFrom(w)
-					continue
-				}
-				lane := int(d0) % BankLanes
-				ft := fuzzBankFault(n, c, d0, d1, d2)
-				bankErr := bank.Inject(lane, ft)
-				if ft.Class == fault.SOF {
-					if !errors.Is(bankErr, ErrUnbankable) {
-						t.Fatalf("SOF inject err = %v, want ErrUnbankable", bankErr)
-					}
-					continue // the production path diverges this lane
-				}
-				refErr := refs[lane].Inject(ft)
-				if (bankErr == nil) != (refErr == nil) {
-					t.Fatalf("inject %v lane %d: bank err %v, reference err %v",
-						ft, lane, bankErr, refErr)
-				}
-			case 1, 2, 3: // write / NWRC write / weak write
-				d0, ok0 := next()
-				d1, ok1 := next()
-				if !ok0 || !ok1 {
-					return
-				}
-				mutated = true
-				addr := int(d0) % n
-				w := fuzzBankPattern(c, d1)
-				switch op % 6 {
-				case 1:
-					bank.Write(addr, w)
-					for _, m := range refs {
-						m.Write(addr, w)
-					}
-					written[addr].CopyFrom(w)
-				case 2:
-					bank.WriteNWRC(addr, w)
-					for _, m := range refs {
-						m.WriteNWRC(addr, w)
-					}
-					written[addr].CopyFrom(w)
-				case 3:
-					// Weak writes drive only vulnerable DRF cells; clean
-					// cells keep their value, so the shadow is untouched.
-					bank.WriteWeak(addr, w)
-					for _, m := range refs {
-						m.WriteWeak(addr, w)
-					}
-				}
-			case 4: // retention hold
-				d0, ok0 := next()
-				if !ok0 {
-					return
-				}
-				mutated = true
-				ms := float64(d0) // 0..255 ms straddles the 62.5 ms default
-				bank.Hold(ms)
-				for _, m := range refs {
-					m.Hold(ms)
-				}
-			case 5: // read-compare one row, all lanes
-				d0, ok0 := next()
-				if !ok0 {
-					return
-				}
-				checkRow(int(d0) % n)
-			}
-		}
-
-		// Final sweep: every row sensed on every lane, and every raw
-		// stored bit. PeekLane reports special=false for cells that are
-		// clean in all lanes — those must hold the scalar shadow.
-		for addr := 0; addr < n; addr++ {
-			checkRow(addr)
-			for bit := 0; bit < c; bit++ {
+		// round runs the program once, every injected fault moved rot
+		// lanes up, then sweeps every row and raw bit. A truncated
+		// op ends the program.
+		round := func(rot int) {
+			// written is the scalar shadow every clean cell of every
+			// lane holds — the bank caller's half of the contract.
+			written := bitvec.NewMatrix(c, n)
+			mutated := false
+			checkRow := func(addr int) {
 				for l := 0; l < BankLanes; l++ {
-					v, special := bank.PeekLane(addr, bit, l)
-					if !special {
-						v = written[addr].Get(bit)
+					bank.ReadInto(addr, l, written[addr], out)
+					refs[l].ReadInto(addr, refOut)
+					if !out.Equal(refOut) {
+						t.Fatalf("%dx%d round %d: lane %d row %d sensed %s, reference %s",
+							n, c, rot, l, addr, out, refOut)
 					}
-					if want := refs[l].Peek(addr, bit); v != want {
-						t.Fatalf("%dx%d: lane %d cell %d.%d stored %v (special=%v), reference %v",
-							n, c, l, addr, bit, v, special, want)
+				}
+			}
+
+			i := 0
+			next := func() (byte, bool) {
+				if i >= len(data) {
+					return 0, false
+				}
+				b := data[i]
+				i++
+				return b, true
+			}
+		program:
+			for {
+				op, ok := next()
+				if !ok {
+					break
+				}
+				switch op % 6 {
+				case 0: // inject (pristine) / invert a row (after mutation)
+					d0, ok0 := next()
+					d1, ok1 := next()
+					d2, ok2 := next()
+					if !ok0 || !ok1 || !ok2 {
+						break program
+					}
+					if mutated {
+						addr := int(d1) % n
+						w := bitvec.New(c)
+						w.InvertFrom(written[addr])
+						bank.Write(addr, w)
+						for _, m := range refs {
+							m.Write(addr, w)
+						}
+						written[addr].CopyFrom(w)
+						continue
+					}
+					lane := (int(d0) + rot) % BankLanes
+					ft := fuzzBankFault(n, c, d0, d1, d2)
+					bankErr := bank.Inject(lane, ft)
+					if ft.Class == fault.SOF {
+						if !errors.Is(bankErr, ErrUnbankable) {
+							t.Fatalf("SOF inject err = %v, want ErrUnbankable", bankErr)
+						}
+						continue // the production path diverges this lane
+					}
+					refErr := refs[lane].Inject(ft)
+					if (bankErr == nil) != (refErr == nil) {
+						t.Fatalf("round %d inject %v lane %d: bank err %v, reference err %v",
+							rot, ft, lane, bankErr, refErr)
+					}
+				case 1, 2, 3: // write / NWRC write / weak write
+					d0, ok0 := next()
+					d1, ok1 := next()
+					if !ok0 || !ok1 {
+						break program
+					}
+					mutated = true
+					addr := int(d0) % n
+					w := fuzzBankPattern(c, d1)
+					switch op % 6 {
+					case 1:
+						bank.Write(addr, w)
+						for _, m := range refs {
+							m.Write(addr, w)
+						}
+						written[addr].CopyFrom(w)
+					case 2:
+						bank.WriteNWRC(addr, w)
+						for _, m := range refs {
+							m.WriteNWRC(addr, w)
+						}
+						written[addr].CopyFrom(w)
+					case 3:
+						// Weak writes drive only vulnerable DRF cells;
+						// clean cells keep their value, so the shadow
+						// is untouched.
+						bank.WriteWeak(addr, w)
+						for _, m := range refs {
+							m.WriteWeak(addr, w)
+						}
+					}
+				case 4: // retention hold
+					d0, ok0 := next()
+					if !ok0 {
+						break program
+					}
+					mutated = true
+					ms := float64(d0) // 0..255 ms straddles the 62.5 ms default
+					bank.Hold(ms)
+					for _, m := range refs {
+						m.Hold(ms)
+					}
+				case 5: // read-compare one row, all lanes
+					d0, ok0 := next()
+					if !ok0 {
+						break program
+					}
+					checkRow(int(d0) % n)
+				}
+			}
+
+			// Final sweep: every row sensed on every lane, and every raw
+			// stored bit. PeekLane reports special=false for cells that
+			// are clean in all lanes — those must hold the scalar shadow.
+			for addr := 0; addr < n; addr++ {
+				checkRow(addr)
+				for bit := 0; bit < c; bit++ {
+					for l := 0; l < BankLanes; l++ {
+						v, special := bank.PeekLane(addr, bit, l)
+						if !special {
+							v = written[addr].Get(bit)
+						}
+						if want := refs[l].Peek(addr, bit); v != want {
+							t.Fatalf("%dx%d round %d: lane %d cell %d.%d stored %v (special=%v), reference %v",
+								n, c, rot, l, addr, bit, v, special, want)
+						}
 					}
 				}
 			}
 		}
+
+		// The second round reuses the bank: Reset, a reload with every
+		// lane rotated by one and a fresh seal, against reset
+		// references.
+		round(0)
+		bank.Reset()
+		for _, m := range refs {
+			m.Reset()
+		}
+		round(1)
 	})
 }

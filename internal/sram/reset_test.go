@@ -216,3 +216,89 @@ func TestBankReuseAcrossResetRestartsDRFTimers(t *testing.T) {
 			lane, v, special)
 	}
 }
+
+// TestBankResetReloadRotatedLanes is the unit form of FuzzMemoryBank's
+// second round: a bank that was loaded, sealed and driven, then Reset
+// and reloaded with every lane's faults moved one lane up, must sense
+// exactly what freshly reset reference Memories sense, lane by lane.
+// The reload unseals the bank, so the first write after it reseals
+// cells left in the rotated injection order.
+func TestBankResetReloadRotatedLanes(t *testing.T) {
+	const n, c = 16, 6
+	classes := []fault.Class{
+		fault.SA0, fault.SA1, fault.TFUp, fault.TFDown,
+		fault.CFid, fault.CFin, fault.CFst, fault.DRF,
+	}
+	// laneFaults is lane l's fault list: every class, at cells that
+	// move with the lane, so a rotation changes every lane's layout.
+	laneFaults := func(l int) []fault.Fault {
+		var fs []fault.Fault
+		for k, class := range classes {
+			fs = append(fs, fault.Fault{
+				Class:     class,
+				Victim:    fault.Cell{Addr: (2*k + l) % n, Bit: k % c},
+				Aggressor: fault.Cell{Addr: (2*k + l + 7) % n, Bit: (k + 3) % c},
+				Dir:       fault.Dir(l % 2),
+				Value:     (k+l)%2 == 0,
+				AggState:  l%3 == 0,
+			})
+		}
+		return fs
+	}
+	bank := NewMemoryBank(n, c)
+	refs := make([]*Memory, BankLanes)
+	for l := range refs {
+		refs[l] = New(n, c)
+	}
+	load := func(rot int) {
+		for l := 0; l < BankLanes; l++ {
+			lane := (l + rot) % BankLanes
+			for _, f := range laneFaults(l) {
+				bankErr := bank.Inject(lane, f)
+				if refErr := refs[lane].Inject(f); (bankErr == nil) != (refErr == nil) {
+					t.Fatalf("inject %v lane %d: bank err %v, reference err %v", f, lane, bankErr, refErr)
+				}
+			}
+		}
+	}
+	sweep := func(rot int) {
+		written := bitvec.NewMatrix(c, n)
+		out, refOut := bitvec.New(c), bitvec.New(c)
+		for _, bg := range []bitvec.Vector{
+			bitvec.Solid(c, true), bitvec.Checkerboard(c), bitvec.Solid(c, false),
+		} {
+			for addr := 0; addr < n; addr++ {
+				bank.Write(addr, bg)
+				bank.WriteWeak(addr, bg)
+				for _, m := range refs {
+					m.Write(addr, bg)
+					m.WriteWeak(addr, bg)
+				}
+				written[addr].CopyFrom(bg)
+			}
+			bank.Hold(100) // past the 62.5 ms threshold: DRFs fire
+			for _, m := range refs {
+				m.Hold(100)
+			}
+			for addr := 0; addr < n; addr++ {
+				for l := 0; l < BankLanes; l++ {
+					bank.ReadInto(addr, l, written[addr], out)
+					refs[l].ReadInto(addr, refOut)
+					if !out.Equal(refOut) {
+						t.Fatalf("rotation %d background %s: lane %d row %d sensed %s, reference %s",
+							rot, bg, l, addr, out, refOut)
+					}
+				}
+			}
+		}
+	}
+
+	load(0)
+	sweep(0)
+	bank.Reset()
+	for _, m := range refs {
+		m.Reset()
+	}
+	load(1)
+	sweep(1)
+}
