@@ -89,7 +89,9 @@ func TestQuickProposedMatchesReference(t *testing.T) {
 		build := func() *sram.Memory {
 			m := sram.New(32, 8)
 			gen := fault.NewGenerator(32, 8, seed)
-			for _, ft := range gen.FleetTyped(0.03, fault.PaperDefectTypes()) {
+			// No DRFs are placed, so Population cannot fail.
+			fl, _ := gen.Population(&fault.Scratch{}, nil, 0.03, fault.PaperDefectTypes(), 0)
+			for _, ft := range fl {
 				_ = m.Inject(ft)
 			}
 			return m

@@ -39,7 +39,10 @@ func TestBaselineTwoFaultsPerIteration(t *testing.T) {
 	for _, nf := range []int{1, 2, 3, 5, 8} {
 		m := sram.New(16, 4)
 		gen := fault.NewGenerator(16, 4, int64(nf))
-		fleet := gen.FleetTyped(float64(nf)/(16*4)+1e-9, [][]fault.Class{{fault.SA0}, {fault.SA1}})
+		fleet, err := gen.Population(&fault.Scratch{}, nil, float64(nf)/(16*4)+1e-9, [][]fault.Class{{fault.SA0}, {fault.SA1}}, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
 		for _, f := range fleet {
 			mustInject(t, m, f)
 		}
@@ -199,7 +202,9 @@ func TestBaselineVsProposedLocatedAgree(t *testing.T) {
 	mk := func() *sram.Memory {
 		m := sram.New(16, 4)
 		gen := fault.NewGenerator(16, 4, 1234)
-		for _, f := range gen.FleetTyped(0.08, [][]fault.Class{{fault.SA0, fault.SA1}, {fault.TFUp, fault.TFDown}}) {
+		// No DRFs are placed, so Population cannot fail.
+		fleet, _ := gen.Population(&fault.Scratch{}, nil, 0.08, [][]fault.Class{{fault.SA0, fault.SA1}, {fault.TFUp, fault.TFDown}}, 0)
+		for _, f := range fleet {
 			_ = m.Inject(f)
 		}
 		return m

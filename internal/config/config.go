@@ -122,48 +122,20 @@ func (s SoC) LargestWords() int {
 // Marshal renders the configuration as indented JSON.
 func (s SoC) Marshal() ([]byte, error) { return json.MarshalIndent(s, "", "  ") }
 
-// injectDefects draws mc's defect population from gen (which must be
-// positioned at the start of its seeded stream) and injects it into m
-// (which must be fault-free), returning the sorted ground truth.
-func injectDefects(m *sram.Memory, gen *fault.Generator, mc Memory) ([]fault.Fault, error) {
-	var injected []fault.Fault
-	for _, f := range gen.FleetTyped(mc.DefectRate, fault.PaperDefectTypes()) {
-		if err := m.Inject(f); err != nil {
-			return nil, fmt.Errorf("config: memory %q: %v", mc.Name, err)
-		}
-		injected = append(injected, f)
-	}
-	// DRFs are drawn until the requested count is placed; draws
-	// whose victim collides with an earlier fault are redrawn
-	// (deterministically, from the same seeded stream).
-	for placed, attempts := 0, 0; placed < mc.DRFCount; attempts++ {
-		if attempts > 100*mc.DRFCount+100 {
-			return nil, fmt.Errorf("config: memory %q cannot place %d DRFs", mc.Name, mc.DRFCount)
-		}
-		f := gen.Random(fault.DRF)
-		if err := m.Inject(f); err != nil {
-			continue
-		}
-		injected = append(injected, f)
-		placed++
-	}
-	fault.Sort(injected)
-	return injected, nil
-}
-
-// Builder rebuilds one SoC's fleet over and over, recycling the
-// memories and fault generators across builds — the allocation profile
-// fleet workers need when diagnosing millions of per-device instances
-// of the same plan. Each Build resets every memory (O(fault count)),
-// reseeds its generator and re-draws the defect population, so the
-// same per-memory seeds always build the same fleet. The returned
-// fault lists (per memory) are the ground truth for evaluating
-// diagnosis results. Not safe for concurrent use; give each worker its
-// own Builder.
+// Builder draws one SoC's defect populations over and over, recycling
+// the fault generators, one shared fault.Scratch and, for Build, the
+// memories across draws — the allocation profile fleet workers need
+// when diagnosing millions of per-device instances of the same plan.
+// Each draw reseeds a memory's generator and re-draws its population,
+// so the same per-memory seeds always give the same fault lists. The
+// lists (per memory, sorted by victim) are the ground truth for
+// evaluating diagnosis results. Not safe for concurrent use; give each
+// worker its own Builder.
 type Builder struct {
 	soc  SoC
 	mems []*sram.Memory
 	gens []*fault.Generator
+	sc   fault.Scratch
 }
 
 // NewBuilder validates the SoC and allocates its recyclable memories
@@ -184,29 +156,56 @@ func NewBuilder(s SoC) (*Builder, error) {
 	return b, nil
 }
 
-// Build injects a fresh defect draw into the recycled memories. A
-// non-nil seeds overrides the per-memory seeds (len(seeds) must equal
-// the memory count) — the per-device derived seeding fleet runs use.
-// The returned memories are owned by the Builder and valid only until
-// the next Build; the ground-truth fault lists are freshly allocated
-// and may be retained.
-func (b *Builder) Build(seeds []int64) ([]*sram.Memory, [][]fault.Fault, error) {
-	if seeds != nil && len(seeds) != len(b.soc.Memories) {
-		return nil, nil, fmt.Errorf("config: %d seeds for %d memories", len(seeds), len(b.soc.Memories))
+// Draw draws every memory's defect population into truth[i], reusing
+// its storage, and builds no memory. A memory's population is its
+// DefectRate share of cells drawn from the paper's four defect types,
+// plus DRFCount DRFs on free victims, sorted by victim. A non-nil
+// seeds overrides the per-memory seeds (len(seeds) must equal the
+// memory count) — the per-device derived seeding fleet runs use.
+// len(truth) must equal the memory count too.
+func (b *Builder) Draw(seeds []int64, truth [][]fault.Fault) error {
+	n := len(b.soc.Memories)
+	if seeds != nil && len(seeds) != n {
+		return fmt.Errorf("config: %d seeds for %d memories", len(seeds), n)
 	}
-	truth := make([][]fault.Fault, len(b.soc.Memories))
+	if len(truth) != n {
+		return fmt.Errorf("config: %d fault lists for %d memories", len(truth), n)
+	}
+	types := fault.PaperDefectTypes()
 	for i, mc := range b.soc.Memories {
 		seed := mc.Seed
 		if seeds != nil {
 			seed = seeds[i]
 		}
-		b.mems[i].Reset()
 		b.gens[i].Reseed(seed)
-		injected, err := injectDefects(b.mems[i], b.gens[i], mc)
+		drawn, err := b.gens[i].Population(&b.sc, truth[i][:0], mc.DefectRate, types, mc.DRFCount)
 		if err != nil {
-			return nil, nil, err
+			// Population's one error reads "cannot place N DRFs".
+			return fmt.Errorf("config: memory %q %w", mc.Name, err)
 		}
-		truth[i] = injected
+		truth[i] = drawn
+	}
+	return nil
+}
+
+// Build draws a fresh defect population and injects it into the
+// recycled memories. seeds is as for Draw. The returned memories are
+// owned by the Builder and valid only until the next Build; the
+// ground-truth fault lists are freshly allocated and may be retained.
+func (b *Builder) Build(seeds []int64) ([]*sram.Memory, [][]fault.Fault, error) {
+	truth := make([][]fault.Fault, len(b.soc.Memories))
+	if err := b.Draw(seeds, truth); err != nil {
+		return nil, nil, err
+	}
+	for i, m := range b.mems {
+		m.Reset()
+		for _, f := range truth[i] {
+			// A drawn population is victim-distinct, which is all
+			// Inject asks of these classes, so a rejection is a bug.
+			if err := m.Inject(f); err != nil {
+				return nil, nil, fmt.Errorf("config: memory %q: drawn fault rejected: %w", b.soc.Memories[i].Name, err)
+			}
+		}
 	}
 	return b.mems, truth, nil
 }

@@ -14,6 +14,7 @@ package fault
 import (
 	"cmp"
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"slices"
 )
@@ -321,26 +322,54 @@ func (g *Generator) Random(class Class) Fault {
 	return f
 }
 
-// Fleet generates the fault population for the paper's defect-rate
-// model: defectRate (e.g. 0.01) of the n*c cells are defective, and the
-// defects are distributed over classes with equal likelihood. Victim
-// cells are distinct.
-func (g *Generator) Fleet(defectRate float64, classes []Class) []Fault {
-	groups := make([][]Class, len(classes))
-	for i, c := range classes {
-		groups[i] = []Class{c}
-	}
-	return g.FleetTyped(defectRate, groups)
+// Scratch is Population's reusable working storage: an occupancy
+// bitmap and a slot table over a memory's cells, and the draw buffer
+// the slots index. The zero value is ready to use. It grows to the
+// largest memory it serves, and every Population call leaves the
+// bitmap clear, so one Scratch serves any number of draws, on memories
+// of any geometry, one draw at a time.
+type Scratch struct {
+	taken []uint64 // victim bitmap, bit a*c+b for cell (a, b)
+	slot  []int32  // slot[cell] = index into buf; valid while taken
+	buf   []Fault  // the population in draw order
 }
 
-// FleetTyped is Fleet with two-level sampling: the defect *type* (class
-// group) is drawn uniformly, then the class within the group. This is
-// the paper's Sec. 4.2 model — "all four different defect types occur
-// with equal likelihood" — where e.g. the stuck-at type covers both
-// SA0 and SA1.
-func (g *Generator) FleetTyped(defectRate float64, types [][]Class) []Fault {
-	if defectRate < 0 || defectRate > 1 {
-		panic(fmt.Sprintf("fault: defect rate %v out of [0,1]", defectRate))
+// fit sizes the scratch for a memory of cells cells.
+func (sc *Scratch) fit(cells int) {
+	if len(sc.slot) < cells {
+		sc.slot = make([]int32, cells)
+		sc.taken = make([]uint64, (cells+63)/64)
+	}
+}
+
+// take claims cell for the fault that is about to become buf[slot]; it
+// reports false, claiming nothing, if the cell is already a victim.
+func (sc *Scratch) take(cell, slot int) bool {
+	w, m := cell>>6, uint64(1)<<uint(cell&63)
+	if sc.taken[w]&m != 0 {
+		return false
+	}
+	sc.taken[w] |= m
+	sc.slot[cell] = int32(slot)
+	return true
+}
+
+// Population draws the paper's defect-rate model for one memory:
+// rate (e.g. 0.01) of the n*c cells are defective, each defect's type
+// (one class group of types) drawn uniformly and then its class within
+// the group — the Sec. 4.2 model, "all four different defect types
+// occur with equal likelihood", where e.g. the stuck-at type covers
+// both SA0 and SA1. A draw whose victim is already taken is redrawn.
+// Then drfs data-retention faults are placed on free victims the same
+// way, giving up with an error after 100*drfs+100 DRF draws.
+//
+// Victims are distinct, so the population is appended to dst in
+// victim order, which is exactly Sort's (victim, class) order. On
+// error dst is returned unchanged. sc is the working storage; it
+// holds nothing between calls.
+func (g *Generator) Population(sc *Scratch, dst []Fault, rate float64, types [][]Class, drfs int) ([]Fault, error) {
+	if rate < 0 || rate > 1 {
+		panic(fmt.Sprintf("fault: defect rate %v out of [0,1]", rate))
 	}
 	if len(types) == 0 {
 		panic("fault: empty type set")
@@ -350,21 +379,51 @@ func (g *Generator) FleetTyped(defectRate float64, types [][]Class) []Fault {
 			panic("fault: empty class group")
 		}
 	}
-	total := int(float64(g.n*g.c) * defectRate)
-	used := make(map[Cell]bool, total)
-	out := make([]Fault, 0, total)
-	for len(out) < total {
+	cells := g.n * g.c
+	sc.fit(cells)
+	total := int(float64(cells) * rate)
+	buf := slices.Grow(sc.buf[:0], total+min(drfs, cells-total))
+	for len(buf) < total {
 		group := types[g.rng.Intn(len(types))]
 		f := g.Random(group[g.rng.Intn(len(group))])
-		if used[f.Victim] {
+		if sc.take(g.cellIndex(f.Victim), len(buf)) {
+			buf = append(buf, f)
+		}
+	}
+	var err error
+	for placed, attempts := 0, 0; placed < drfs; attempts++ {
+		if attempts > 100*drfs+100 {
+			err = fmt.Errorf("cannot place %d DRFs", drfs)
+			break
+		}
+		f := g.Random(DRF)
+		if sc.take(g.cellIndex(f.Victim), len(buf)) {
+			buf = append(buf, f)
+			placed++
+		}
+	}
+	sc.buf = buf
+	taken := sc.taken[:(cells+63)/64]
+	if err != nil {
+		clear(taken)
+		return dst, err
+	}
+	dst = slices.Grow(dst, len(buf))
+	for w, word := range taken {
+		if word == 0 {
 			continue
 		}
-		used[f.Victim] = true
-		out = append(out, f)
+		taken[w] = 0
+		for base := w << 6; word != 0; word &= word - 1 {
+			dst = append(dst, buf[sc.slot[base+bits.TrailingZeros64(word)]])
+		}
 	}
-	Sort(out)
-	return out
+	return dst, nil
 }
+
+// cellIndex is c's bit in Scratch's bitmap: cell order is (Addr, Bit)
+// order.
+func (g *Generator) cellIndex(c Cell) int { return c.Addr*g.c + c.Bit }
 
 func (g *Generator) randomCell() Cell {
 	return Cell{Addr: g.rng.Intn(g.n), Bit: g.rng.Intn(g.c)}

@@ -1,6 +1,7 @@
 package fault
 
 import (
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -80,8 +81,8 @@ func TestFaultString(t *testing.T) {
 }
 
 func TestGeneratorDeterminism(t *testing.T) {
-	a := NewGenerator(64, 8, 42).Fleet(0.05, PaperDefectClasses())
-	b := NewGenerator(64, 8, 42).Fleet(0.05, PaperDefectClasses())
+	a := population(t, NewGenerator(64, 8, 42), 0.05)
+	b := population(t, NewGenerator(64, 8, 42), 0.05)
 	if len(a) != len(b) {
 		t.Fatalf("fleet sizes differ: %d vs %d", len(a), len(b))
 	}
@@ -94,7 +95,7 @@ func TestGeneratorDeterminism(t *testing.T) {
 
 func TestFleetSizeMatchesDefectRate(t *testing.T) {
 	g := NewGenerator(512, 100, 1)
-	fl := g.Fleet(0.01, PaperDefectClasses())
+	fl := population(t, g, 0.01)
 	want := int(512 * 100 * 0.01)
 	if len(fl) != want {
 		t.Fatalf("fleet size = %d, want %d", len(fl), want)
@@ -102,7 +103,7 @@ func TestFleetSizeMatchesDefectRate(t *testing.T) {
 }
 
 func TestFleetDistinctVictims(t *testing.T) {
-	fl := NewGenerator(32, 4, 7).Fleet(0.25, PaperDefectClasses())
+	fl := population(t, NewGenerator(32, 4, 7), 0.25)
 	seen := make(map[Cell]bool)
 	for _, f := range fl {
 		if seen[f.Victim] {
@@ -113,7 +114,7 @@ func TestFleetDistinctVictims(t *testing.T) {
 }
 
 func TestFleetSorted(t *testing.T) {
-	fl := NewGenerator(64, 8, 3).Fleet(0.1, PaperDefectClasses())
+	fl := population(t, NewGenerator(64, 8, 3), 0.1)
 	for i := 1; i < len(fl); i++ {
 		if fl[i].Victim.Less(fl[i-1].Victim) {
 			t.Fatalf("fleet not sorted at %d", i)
@@ -124,8 +125,9 @@ func TestFleetSorted(t *testing.T) {
 func TestFleetBadArgsPanic(t *testing.T) {
 	g := NewGenerator(8, 8, 0)
 	for name, fn := range map[string]func(){
-		"rate":    func() { g.Fleet(1.5, PaperDefectClasses()) },
-		"classes": func() { g.Fleet(0.1, nil) },
+		"rate":    func() { g.Population(&Scratch{}, nil, 1.5, singletons(PaperDefectClasses()), 0) },
+		"classes": func() { g.Population(&Scratch{}, nil, 0.1, nil, 0) },
+		"group":   func() { g.Population(&Scratch{}, nil, 0.1, [][]Class{{SA0}, {}}, 0) },
 		"geom":    func() { NewGenerator(0, 8, 0) },
 	} {
 		func() {
@@ -197,7 +199,7 @@ func TestQuickFleetInvariants(t *testing.T) {
 		n := int(nw%60) + 4
 		c := int(cw%16) + 2
 		rate := float64(rw%50) / 100
-		fl := NewGenerator(n, c, seed).Fleet(rate, PaperDefectClasses())
+		fl := population(t, NewGenerator(n, c, seed), rate)
 		if len(fl) != int(float64(n*c)*rate) {
 			return false
 		}
@@ -212,5 +214,63 @@ func TestQuickFleetInvariants(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
+	}
+}
+
+// singletons makes each class its own defect type.
+func singletons(classes []Class) [][]Class {
+	types := make([][]Class, len(classes))
+	for i, c := range classes {
+		types[i] = []Class{c}
+	}
+	return types
+}
+
+// population draws g's DRF-free population over PaperDefectClasses
+// with every class its own type, on a fresh Scratch.
+func population(t *testing.T, g *Generator, rate float64) []Fault {
+	t.Helper()
+	fl, err := g.Population(&Scratch{}, nil, rate, singletons(PaperDefectClasses()), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fl
+}
+
+// TestPopulationSharedScratch pins that a Scratch carries nothing from
+// one draw to the next: draws that share one Scratch across geometries,
+// after a failed draw and onto a non-empty dst equal fresh-scratch
+// draws.
+func TestPopulationSharedScratch(t *testing.T) {
+	type geom struct {
+		n, c int
+		rate float64
+		drfs int
+	}
+	geoms := []geom{{512, 100, 0.005, 4}, {4, 4, 0.5, 20}, {16, 6, 0.5, 6}, {64, 16, 0.01, 2}, {2, 2, 1, 0}}
+	var sc Scratch
+	for seed := int64(0); seed < 50; seed++ {
+		for _, gm := range geoms {
+			prefix := []Fault{{Class: SA1, Victim: Cell{Addr: -1}}}
+			got, gotErr := NewGenerator(gm.n, gm.c, seed).Population(&sc, prefix, gm.rate, PaperDefectTypes(), gm.drfs)
+			want, wantErr := NewGenerator(gm.n, gm.c, seed).Population(&Scratch{}, prefix, gm.rate, PaperDefectTypes(), gm.drfs)
+			if (gotErr == nil) != (wantErr == nil) {
+				t.Fatalf("seed %d %dx%d: shared err %v, fresh err %v", seed, gm.n, gm.c, gotErr, wantErr)
+			}
+			if !slices.Equal(got, want) || got[0] != prefix[0] {
+				t.Fatalf("seed %d %dx%d: shared scratch drew %v, fresh %v", seed, gm.n, gm.c, got, want)
+			}
+		}
+	}
+}
+
+func TestPopulationDRFPlacementGivesUp(t *testing.T) {
+	dst := []Fault{{Class: SA0}}
+	got, err := NewGenerator(2, 2, 1).Population(&Scratch{}, dst, 0.5, PaperDefectTypes(), 3)
+	if err == nil || err.Error() != "cannot place 3 DRFs" {
+		t.Fatalf("err = %v, want \"cannot place 3 DRFs\"", err)
+	}
+	if !slices.Equal(got, dst) {
+		t.Fatalf("failed draw changed dst to %v", got)
 	}
 }

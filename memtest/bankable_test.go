@@ -31,6 +31,17 @@ func densePlan() Plan {
 	}
 }
 
+// drawFleet draws device seed's fault lists on fb into a fresh Fleet
+// with no memories — what runBatch hands BatchRunner.Load.
+func drawFleet(t *testing.T, fb *fleetBuilder, seed int64) *Fleet {
+	t.Helper()
+	f := &Fleet{plan: fb.plan, truth: make([][]fault.Fault, len(fb.plan.Memories))}
+	if err := fb.draw(seed, f.truth); err != nil {
+		t.Fatalf("seed %d: %v", seed, err)
+	}
+	return f
+}
+
 func TestPlanBuildsAreAlwaysBankable(t *testing.T) {
 	const seeds = 64
 	for _, plan := range []Plan{HeterogeneousExample(), Benchmark16(), densePlan()} {
@@ -39,27 +50,11 @@ func TestPlanBuildsAreAlwaysBankable(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			banks := make([]*sram.MemoryBank, len(plan.Memories))
-			for i, m := range plan.Memories {
-				banks[i] = sram.NewMemoryBank(m.Words, m.Width)
-			}
+			br := proposedEngine{}.NewBatchRunner()
 			for seed := range seeds {
-				f, err := fb.build(int64(seed), true)
-				if err != nil {
+				f := drawFleet(t, fb, int64(seed))
+				if err := br.Load(seed%br.Lanes(), f); err != nil {
 					t.Fatalf("seed %d: %v", seed, err)
-				}
-				lane := seed % sram.BankLanes
-				for i, m := range f.mems {
-					if lane == 0 {
-						banks[i].Reset()
-					}
-					ok, err := banks[i].LoadLane(lane, m.Faults())
-					if err != nil {
-						t.Fatalf("seed %d memory %q: %v", seed, f.MemoryName(i), err)
-					}
-					if !ok {
-						t.Fatalf("seed %d memory %q drew an unbankable fault", seed, f.MemoryName(i))
-					}
 				}
 			}
 		})
@@ -72,25 +67,19 @@ func TestBatchLoadRejectsUnbankableFault(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f, err := fb.build(5, true)
-	if err != nil {
-		t.Fatal(err)
-	}
+	f := drawFleet(t, fb, 5)
 	// Plans never draw SOF, so plant one on a free cell of the last
-	// memory by hand.
-	last := len(f.mems) - 1
-	m := f.mems[last]
+	// memory's fault list by hand.
+	last := f.Len() - 1
 	taken := map[fault.Cell]bool{}
-	for _, flt := range m.Faults() {
+	for _, flt := range f.truth[last] {
 		taken[flt.Victim] = true
 	}
 	var victim fault.Cell
 	for taken[victim] {
 		victim.Bit++
 	}
-	if err := m.Inject(fault.Fault{Class: fault.SOF, Victim: victim}); err != nil {
-		t.Fatal(err)
-	}
+	f.truth[last] = append(f.truth[last], fault.Fault{Class: fault.SOF, Victim: victim})
 
 	br := proposedEngine{}.NewBatchRunner()
 	err = br.Load(0, f)
@@ -99,5 +88,35 @@ func TestBatchLoadRejectsUnbankableFault(t *testing.T) {
 	}
 	if name := f.MemoryName(last); !strings.Contains(err.Error(), name) {
 		t.Fatalf("Load error %q does not name memory %q", err, name)
+	}
+}
+
+// TestFleetDrawAllocFree pins the banked path's per-device draw: once
+// a worker's truth arena has grown, drawing a device's fault lists
+// into it allocates nothing.
+func TestFleetDrawAllocFree(t *testing.T) {
+	for _, plan := range []Plan{HeterogeneousExample(), Benchmark16()} {
+		t.Run(plan.Name, func(t *testing.T) {
+			fb, err := newFleetBuilder(plan)
+			if err != nil {
+				t.Fatal(err)
+			}
+			truth := make([][]fault.Fault, len(plan.Memories))
+			for seed := range int64(8) {
+				if err := fb.draw(seed, truth); err != nil {
+					t.Fatal(err)
+				}
+			}
+			seed := int64(0)
+			allocs := testing.AllocsPerRun(50, func() {
+				seed++
+				if err := fb.draw(seed%8, truth); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if allocs != 0 {
+				t.Fatalf("warm draw allocates %.0f times per device, want 0", allocs)
+			}
+		})
 	}
 }

@@ -64,9 +64,10 @@ type Engine interface {
 type BatchRunner interface {
 	// Lanes is the batch width (64 for the built-in bit-sliced bank).
 	Lanes() int
-	// Load stages one device's built fleet into the given lane.
-	// Load(0, f) starts a new batch: the runner (re)fits itself to f's
-	// geometry and clears all lanes. A device whose faults the batch
+	// Load stages one device's fleet into the given lane. The fleet
+	// carries the device's fault lists and geometry, with no
+	// memories. Load(0, f) starts a new batch: the runner (re)fits
+	// itself to f's geometry and clears all lanes. A device whose faults the batch
 	// path cannot model fails with an error wrapping
 	// sram.ErrUnbankable; any error is a hard failure for that device.
 	Load(lane int, f *Fleet) error

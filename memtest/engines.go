@@ -81,8 +81,8 @@ func (pb *proposedBatchRunner) Load(lane int, f *Fleet) error {
 	if lane == 0 {
 		pb.fit(f)
 	}
-	for i, m := range f.mems {
-		ok, err := pb.banks[i].LoadLane(lane, m.Faults())
+	for i, faults := range f.truth {
+		ok, err := pb.banks[i].LoadLane(lane, faults)
 		if err != nil {
 			return err
 		}
@@ -99,14 +99,10 @@ func (pb *proposedBatchRunner) Load(lane int, f *Fleet) error {
 // O(special cells) Reset each) when it is unchanged — the steady state
 // for same-plan fleet batches.
 func (pb *proposedBatchRunner) fit(f *Fleet) {
-	match := len(pb.banks) == len(f.mems)
-	if match {
-		for i, m := range f.mems {
-			if pb.banks[i].N() != m.N() || pb.banks[i].C() != m.C() {
-				match = false
-				break
-			}
-		}
+	match := len(pb.banks) == f.Len()
+	for i := 0; match && i < f.Len(); i++ {
+		n, c := f.Geometry(i)
+		match = pb.banks[i].N() == n && pb.banks[i].C() == c
 	}
 	if match {
 		for _, b := range pb.banks {
@@ -114,9 +110,9 @@ func (pb *proposedBatchRunner) fit(f *Fleet) {
 		}
 		return
 	}
-	pb.banks = make([]*sram.MemoryBank, len(f.mems))
-	for i, m := range f.mems {
-		pb.banks[i] = sram.NewMemoryBank(m.N(), m.C())
+	pb.banks = make([]*sram.MemoryBank, f.Len())
+	for i := range pb.banks {
+		pb.banks[i] = sram.NewMemoryBank(f.Geometry(i))
 	}
 	pb.cMax = f.WidestWidth()
 }

@@ -42,10 +42,12 @@ func Benchmark16() Plan { return config.Benchmark16() }
 // between computational blocks.
 func HeterogeneousExample() Plan { return config.HeterogeneousExample() }
 
-// Fleet is a built plan: behavioural memories with their defect
-// populations injected, plus the ground truth those injections form.
-// Engines receive a Fleet; its geometry accessors are the public
-// surface third-party engines work against.
+// Fleet is a built plan: the plan plus each memory's ground-truth
+// fault list, and, on the per-device path, behavioural memories with
+// those faults injected. Engines receive a Fleet; its geometry
+// accessors are the public surface third-party engines work against.
+// A fleet given to BatchRunner.Load carries fault lists and geometry
+// only, with no memories.
 type Fleet struct {
 	plan  Plan
 	mems  []*sram.Memory
@@ -53,7 +55,7 @@ type Fleet struct {
 }
 
 // Len returns the number of memories in the fleet.
-func (f *Fleet) Len() int { return len(f.mems) }
+func (f *Fleet) Len() int { return len(f.plan.Memories) }
 
 // ClockNs returns the plan's diagnosis clock period.
 func (f *Fleet) ClockNs() float64 { return f.plan.ClockNs }
@@ -62,18 +64,23 @@ func (f *Fleet) ClockNs() float64 { return f.plan.ClockNs }
 func (f *Fleet) MemoryName(i int) string { return f.plan.Memories[i].Name }
 
 // Geometry returns the i-th memory's words and width.
-func (f *Fleet) Geometry(i int) (words, width int) { return f.mems[i].N(), f.mems[i].C() }
+func (f *Fleet) Geometry(i int) (words, width int) {
+	m := f.plan.Memories[i]
+	return m.Words, m.Width
+}
 
 // WidestWidth returns the fleet's largest IO width — the width the
 // shared controller is sized for.
 func (f *Fleet) WidestWidth() int { return f.plan.WidestWidth() }
 
-// fleetBuilder builds the plan's fleet repeatedly on recycled storage:
-// the behavioural memories and fault generators are allocated once and
-// every build resets, reseeds and re-injects them, so a fleet worker
-// diagnosing millions of devices stops paying ~an allocation per row
-// per device. A single run builds once on a fresh one. Not safe for
-// concurrent use; each fleet worker owns one.
+// fleetBuilder draws the plan's fault lists, or builds its whole fleet,
+// repeatedly on recycled storage: the fault generators, draw scratch
+// and behavioural memories are allocated once. The banked fleet path
+// only draws lists; the per-device path builds, resetting and
+// re-injecting the memories, so a worker diagnosing millions of
+// devices stops paying ~an allocation per row per device. A single run
+// builds once on a fresh one. Not safe for concurrent use; each fleet
+// worker owns one.
 type fleetBuilder struct {
 	plan  Plan
 	b     *config.Builder
@@ -89,26 +96,38 @@ func newFleetBuilder(p Plan) (*fleetBuilder, error) {
 	return &fleetBuilder{plan: p, b: cb, seeds: make([]int64, len(p.Memories))}, nil
 }
 
-// build instantiates the plan on the recycled storage. When derive is
-// true, each memory's seed is replaced by a splitmix64 mix of base, the
-// spec seed and the memory index — the deterministic per-device seeding
-// RunFleet and WithSeed use; the same (base, plan) pair always builds
-// the same fleet. The returned Fleet's memories are valid until the
-// next build; its ground truth is freshly allocated (evaluated results
-// may retain it).
+// deriveSeeds replaces each memory's seed by a splitmix64 mix of base,
+// the spec seed and the memory index — the deterministic per-device
+// seeding RunFleet and WithSeed use — into the reused seed scratch.
+func (fb *fleetBuilder) deriveSeeds(base int64) []int64 {
+	for i, m := range fb.plan.Memories {
+		fb.seeds[i] = mixSeed(base, m.Seed, i)
+	}
+	return fb.seeds
+}
+
+// build instantiates the plan on the recycled storage, with derived
+// seeds when derive is true and the plan's literal seeds otherwise;
+// the same (base, plan) pair always builds the same fleet. The
+// returned Fleet's memories are valid until the next build; its
+// ground truth is freshly allocated.
 func (fb *fleetBuilder) build(base int64, derive bool) (*Fleet, error) {
 	var seeds []int64
 	if derive {
-		for i, m := range fb.plan.Memories {
-			fb.seeds[i] = mixSeed(base, m.Seed, i)
-		}
-		seeds = fb.seeds
+		seeds = fb.deriveSeeds(base)
 	}
 	mems, truth, err := fb.b.Build(seeds)
 	if err != nil {
 		return nil, err
 	}
 	return &Fleet{plan: fb.plan, mems: mems, truth: truth}, nil
+}
+
+// draw draws into truth, one list per memory and reusing each list's
+// storage, the fault lists build(base, true) would inject. It builds
+// no memory and, once truth's lists have grown, allocates nothing.
+func (fb *fleetBuilder) draw(base int64, truth [][]fault.Fault) error {
+	return fb.b.Draw(fb.deriveSeeds(base), truth)
 }
 
 // mixSeed derives a per-(base, seed, index) seed with a splitmix64-

@@ -50,9 +50,10 @@ func (r *Result) TimeNs() float64 { return r.Report.TimeNs() }
 
 // evaluate scores one memory's raw engine outcome against its injected
 // ground truth and, when a budget is set, allocates repair. It takes
-// the truth rather than a Fleet so the banked fleet path — whose
-// builder memories are recycled lane to lane and whose staged ground
-// truth outlives the build — scores identically to the per-device path.
+// the truth rather than a Fleet so the banked fleet path, which builds
+// no memories, scores identically to the per-device path. truth is
+// sorted by victim, as config.Builder draws it; a located cell counts
+// as truth-located when some detectable fault has it as its victim.
 func (s *Session) evaluate(name string, truth []fault.Fault, mr *MemoryReport) Diagnosis {
 	d := Diagnosis{
 		Name:  name,
@@ -60,16 +61,28 @@ func (s *Session) evaluate(name string, truth []fault.Fault, mr *MemoryReport) D
 		Located:  mr.Located,
 		Injected: len(truth),
 	}
-	victims := make(map[Cell]bool)
+	detectable := func(f fault.Fault) bool { return f.Class != fault.DRF || s.eopt.IncludeDRF }
 	for _, ft := range truth {
-		if ft.Class == fault.DRF && !s.eopt.IncludeDRF {
-			continue
+		if detectable(ft) {
+			d.Detectable++
 		}
-		d.Detectable++
-		victims[ft.Victim] = true
 	}
-	for _, c := range mr.Located {
-		if victims[c] {
+	// One cursor walks truth beside Located, which the engines return
+	// sorted; a located cell below its predecessor rewinds the cursor,
+	// so any order still scores exactly.
+	j := 0
+	for k, c := range mr.Located {
+		if k > 0 && c.Less(mr.Located[k-1]) {
+			j = 0
+		}
+		for j < len(truth) && truth[j].Victim.Less(c) {
+			j++
+		}
+		hit := false
+		for t := j; t < len(truth) && truth[t].Victim == c && !hit; t++ {
+			hit = detectable(truth[t])
+		}
+		if hit {
 			d.TruthLocated++
 		} else {
 			d.FalsePositives++

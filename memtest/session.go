@@ -37,9 +37,15 @@ type Session struct {
 	// noBatch forces the per-device fleet path even when the engine is
 	// a BatchEngine — the differential suite's reference arm.
 	noBatch bool
-	// truthBuf recycles the per-lane ground-truth staging across a
-	// worker's batches.
+	// truthBuf is a fleet worker's truth arena: truthBuf[lane][i] is
+	// memory i's fault list for the batch's lane-th device, drawn in
+	// place batch after batch. A Result keeps only counts derived from
+	// the truth, never the lists, so reusing them across batches is
+	// safe.
 	truthBuf [][][]fault.Fault
+	// laneFleet is the one Fleet runBatch loads every lane from: the
+	// plan and one lane's fault lists, with no memories.
+	laneFleet Fleet
 }
 
 // Option configures a Session; see the With* constructors.
@@ -244,9 +250,9 @@ func (s *Session) RunAll(ctx context.Context) (*Result, error) {
 
 // resultFrom evaluates every memory of a completed run against its
 // ground truth. It takes the truth rather than a Fleet because the
-// banked fleet path recycles its builder memories lane to lane, so by
-// the time a batch's reports come back only the per-lane truth (freshly
-// allocated per build) survives — which is all evaluation needs.
+// banked fleet path builds no memories: a batch's reports come back
+// beside the per-lane truth in the worker's arena, which is all
+// evaluation needs.
 func (s *Session) resultFrom(truth [][]fault.Fault, rep *Report) *Result {
 	res := &Result{
 		Engine: s.engine.Name(),
@@ -480,34 +486,36 @@ type fleetMsg struct {
 }
 
 // runBatch diagnoses devices [d0, d0+size) as one bit-sliced batch:
-// each device is built on the worker's pooled builder (the same build,
-// seeds and defect draw as the per-device path) and its fault list is
-// staged into lane d-d0; one RunBatch pass then produces every lane's
-// report. Outcomes go to out in ascending device order, so an error
-// stands in for the device it belongs to; on a build/load error —
-// including a device with an unbankable fault, which the batch path
-// refuses rather than diagnose wrongly — the already staged lanes
-// still run and deliver (the ordered stream would otherwise wait on
-// them forever) before the failing device's error is sent. It reports
-// whether the worker should keep claiming batches.
+// each device's fault lists are drawn into the worker's truth arena
+// (the same seeds and defect draw as the per-device path, with no
+// memory built) and loaded into lane d-d0; one RunBatch pass then
+// produces every lane's report. Outcomes go to out in ascending device
+// order, so an error stands in for the device it belongs to; on a
+// draw/load error — including a device with an unbankable fault, which
+// the batch path refuses rather than diagnose wrongly — the already
+// loaded lanes still run and deliver (the ordered stream would
+// otherwise wait on them forever) before the failing device's error is
+// sent. It reports whether the worker should keep claiming batches.
 func (s *Session) runBatch(ctx context.Context, br BatchRunner, d0, size int, out chan<- fleetMsg) bool {
-	truths := s.truthBuf[:0]
+	for len(s.truthBuf) < size {
+		s.truthBuf = append(s.truthBuf, make([][]fault.Fault, len(s.plan.Memories)))
+	}
+	s.laneFleet.plan = s.plan
+	loaded := 0
 	var loadErr error
-	for l := 0; l < size; l++ {
-		f, err := s.builder.build(deviceSeed(s.seed, d0+l), true)
+	for ; loaded < size; loaded++ {
+		truth := s.truthBuf[loaded]
+		err := s.builder.draw(deviceSeed(s.seed, d0+loaded), truth)
 		if err == nil {
-			err = br.Load(l, f)
+			s.laneFleet.truth = truth
+			err = br.Load(loaded, &s.laneFleet)
 		}
 		if err != nil {
 			loadErr = err
 			break
 		}
-		// The builder recycles memories across builds, but each build's
-		// ground truth is freshly allocated, so staging it is safe.
-		truths = append(truths, f.truth)
 	}
-	s.truthBuf = truths
-	if loaded := len(truths); loaded > 0 {
+	if loaded > 0 {
 		reports, err := br.RunBatch(ctx, loaded, s.eopt)
 		if err != nil {
 			// A batch-level failure (cancellation, bad test) aborts every
@@ -519,7 +527,7 @@ func (s *Session) runBatch(ctx context.Context, br BatchRunner, d0, size int, ou
 			if s.observe != nil {
 				s.observe(d0 + l)
 			}
-			out <- fleetMsg{res: s.resultFrom(truths[l], reports[l])}
+			out <- fleetMsg{res: s.resultFrom(s.truthBuf[l], reports[l])}
 		}
 	}
 	if loadErr != nil {
