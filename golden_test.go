@@ -21,6 +21,7 @@ func TestGoldenCmdOutput(t *testing.T) {
 	}{
 		{"bisdsim_hetero", []string{"./cmd/bisdsim", "-fleet", "hetero"}},
 		{"bisdsim_hetero_drf_repair", []string{"./cmd/bisdsim", "-fleet", "hetero", "-drf", "-spare-words", "1", "-spare-cells", "2"}},
+		{"bisdsim_hetero_classify", []string{"./cmd/bisdsim", "-fleet", "hetero", "-drf", "-classify", "-scanout"}},
 		{"bisdsim_compare", []string{"./cmd/bisdsim", "-fleet", "hetero", "-compare"}},
 		{"bisdsim_benchmark", []string{"./cmd/bisdsim", "-fleet", "benchmark", "-scheme", "baseline"}},
 		{"diagtime_default", []string{"./cmd/diagtime"}},

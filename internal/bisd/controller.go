@@ -20,9 +20,7 @@ import (
 // for the largest memory (Sec. 3.1): it issues nMax logical addresses
 // and each local generator wraps them into its own range.
 type AddressTrigger struct {
-	nMax int
-	up   []int
-	down []int
+	up, down []int
 }
 
 // NewAddressTrigger returns a trigger sized for the largest memory.
@@ -30,12 +28,7 @@ func NewAddressTrigger(nMax int) *AddressTrigger {
 	if nMax <= 0 {
 		panic(fmt.Sprintf("bisd: invalid trigger size %d", nMax))
 	}
-	a := &AddressTrigger{nMax: nMax, up: make([]int, nMax), down: make([]int, nMax)}
-	for i := 0; i < nMax; i++ {
-		a.up[i] = i
-		a.down[i] = nMax - 1 - i
-	}
-	return a
+	return &AddressTrigger{up: march.Up.Addresses(nMax), down: march.Down.Addresses(nMax)}
 }
 
 // Sequence returns the logical address visit order for an element. The
@@ -204,6 +197,8 @@ type controller struct {
 	intended    []bitvec.Vector
 	intendedInv []bitvec.Vector
 	geomScratch []geometry
+	// steps is the schedule scratch run expands the test into.
+	steps []march.Step
 }
 
 // shape is what sizing needs of a memory; sram.Memory and
@@ -286,61 +281,47 @@ func fit[M shape](c *controller, mems []M, test march.Test, opt *ProposedOptions
 // retentionNs), serially delivers the background before a writing
 // element (cMax cycles) and refreshes the word buffers; element then
 // runs that element's address x op x memory loop from the given cycle
-// count and returns the updated count. Flagged elements repeat per
-// background (Sec. 3.2), truncated to the widest memory's set.
+// count and returns the updated count. The schedule is the widest
+// memory's (Sec. 3.2).
 func (c *controller) run(test march.Test, opt ProposedOptions, hold func(ms float64),
 	element func(e march.Element, elem, bg int, cycles int64) (int64, error)) (cycles int64, retentionNs float64, err error) {
-	nBgs := min(bitvec.NumBackgrounds(c.cMax), test.BackgroundCount)
-	elem := 0
-	for i := 0; i < len(test.Elements); {
-		j, bgFirst, bgEnd := i+1, 0, 1
-		if repeatedElement(test, i) {
-			for j < len(test.Elements) && repeatedElement(test, j) {
-				j++
-			}
-			bgFirst, bgEnd = 1, nBgs
+	c.steps = test.AppendSchedule(c.steps[:0], c.cMax)
+	for elem, st := range c.steps {
+		e, bg := test.Elements[st.Element], st.Background
+		if err := ctxErr(opt.Ctx); err != nil {
+			return 0, 0, err
 		}
-		for bg := bgFirst; bg < bgEnd; bg++ {
-			for _, e := range test.Elements[i:j] {
-				if err := ctxErr(opt.Ctx); err != nil {
-					return 0, 0, err
-				}
-				if e.DelayMs > 0 {
-					hold(e.DelayMs)
-					retentionNs += e.DelayMs * 1e6
-				}
-				// The Enabled guards keep the disabled-trace path free
-				// of the variadic boxing Emitf's arguments would
-				// otherwise allocate once per element.
-				if opt.Trace.Enabled() {
-					opt.Trace.Emitf(cycles, trace.ElementStart, "ctrl", "elem %d bg %d: %s", elem, bg, e)
-				}
-				pattern := c.bgGen.Pattern(bg)
-				if e.Writes() > 0 {
-					if opt.Trace.Enabled() {
-						opt.Trace.Emitf(cycles, trace.Delivery, "bggen", "pattern %s", pattern)
-					}
-					cycles += int64(c.bgGen.Deliver(pattern, c.spcs))
-				}
-				// The SPC holds whatever was (last) delivered — the
-				// memory receives that — while the comparator expects
-				// what the controller *intended* to deliver,
-				// DP[c_i-1:0]. With MSB-first delivery the two
-				// coincide; with the hazardous LSB-first order of
-				// Fig. 4 they diverge and diagnosis breaks down.
-				for k, s := range c.spcs {
-					s.WordInto(c.spcWord[k])
-					c.spcWordInv[k].InvertFrom(c.spcWord[k])
-					c.intended[k].CopyTruncated(pattern)
-					c.intendedInv[k].InvertFrom(c.intended[k])
-				}
-				if cycles, err = element(e, elem, bg, cycles); err != nil {
-					return 0, 0, err
-				}
-				elem++
-			}
+		if e.DelayMs > 0 {
+			hold(e.DelayMs)
+			retentionNs += e.DelayMs * 1e6
 		}
-		i = j
+		// The Enabled guards keep the disabled-trace path free of the
+		// variadic boxing Emitf's arguments would otherwise allocate
+		// once per element.
+		if opt.Trace.Enabled() {
+			opt.Trace.Emitf(cycles, trace.ElementStart, "ctrl", "elem %d bg %d: %s", elem, bg, e)
+		}
+		pattern := c.bgGen.Pattern(bg)
+		if e.Writes() > 0 {
+			if opt.Trace.Enabled() {
+				opt.Trace.Emitf(cycles, trace.Delivery, "bggen", "pattern %s", pattern)
+			}
+			cycles += int64(c.bgGen.Deliver(pattern, c.spcs))
+		}
+		// The SPC holds whatever was (last) delivered — the memory
+		// receives that — while the comparator expects what the
+		// controller *intended* to deliver, DP[c_i-1:0]. With MSB-first
+		// delivery the two coincide; with the hazardous LSB-first order
+		// of Fig. 4 they diverge and diagnosis breaks down.
+		for k, s := range c.spcs {
+			s.WordInto(c.spcWord[k])
+			c.spcWordInv[k].InvertFrom(c.spcWord[k])
+			c.intended[k].CopyTruncated(pattern)
+			c.intendedInv[k].InvertFrom(c.intended[k])
+		}
+		if cycles, err = element(e, elem, bg, cycles); err != nil {
+			return 0, 0, err
+		}
 	}
 	return cycles, retentionNs, nil
 }
@@ -359,12 +340,4 @@ func ctxErr(ctx context.Context) error {
 		return nil
 	}
 	return ctx.Err()
-}
-
-// repeatedElement mirrors march.Test's per-background repetition flag.
-func repeatedElement(t march.Test, i int) bool {
-	if t.BackgroundCount <= 1 || t.PerBackground == nil {
-		return false
-	}
-	return t.PerBackground[i]
 }

@@ -69,11 +69,6 @@ func (t Transistor) String() string {
 	return fmt.Sprintf("Transistor(%d)", int(t))
 }
 
-// Transistors lists all six transistors.
-func Transistors() []Transistor {
-	return []Transistor{PullUpA, PullUpB, PullDownA, PullDownB, AccessA, AccessB}
-}
-
 const (
 	// vHigh and vLow are the rails in normalized volts.
 	vHigh = 1.0

@@ -105,18 +105,15 @@ type readSite struct {
 	setupNWRC bool
 }
 
-// schedule expands a test exactly like the proposed engine does and
-// returns every read site. Width is the controller (widest) width used
-// for backgrounds.
-func schedule(t march.Test) []readSite {
+// schedule returns every read site of the test's schedule on a
+// controller whose widest memory is width bits — the schedule the
+// proposed engine runs.
+func schedule(t march.Test, width int) []readSite {
 	var sites []readSite
-	elemIdx := 0
-	// lastWrite tracks the most recent write's kind per data sense; a
-	// read's setup is the last write before it in program order.
+	// A read's setup is the last write before it in program order.
 	lastNWRC := false
-
-	runElement := func(e march.Element, bg int) {
-		for opIdx, op := range e.Ops {
+	for elemIdx, st := range t.AppendSchedule(nil, width) {
+		for opIdx, op := range t.Elements[st.Element].Ops {
 			switch op.Kind {
 			case march.Write, march.WriteWeak:
 				lastNWRC = false
@@ -124,38 +121,13 @@ func schedule(t march.Test) []readSite {
 				lastNWRC = true
 			case march.Read:
 				sites = append(sites, readSite{
-					elem: elemIdx, op: opIdx, bg: bg,
+					elem: elemIdx, op: opIdx, bg: st.Background,
 					inverted: op.Inverted, setupNWRC: lastNWRC,
 				})
 			}
 		}
-		elemIdx++
-	}
-	for i := 0; i < len(t.Elements); {
-		if !repeated(t, i) {
-			runElement(t.Elements[i], 0)
-			i++
-			continue
-		}
-		j := i
-		for j < len(t.Elements) && repeated(t, j) {
-			j++
-		}
-		for bg := 1; bg < t.BackgroundCount; bg++ {
-			for k := i; k < j; k++ {
-				runElement(t.Elements[k], bg)
-			}
-		}
-		i = j
 	}
 	return sites
-}
-
-func repeated(t march.Test, i int) bool {
-	if t.BackgroundCount <= 1 || t.PerBackground == nil {
-		return false
-	}
-	return t.PerBackground[i]
 }
 
 // Classify analyzes one memory's failure records against the test that
@@ -166,7 +138,7 @@ func repeated(t march.Test, i int) bool {
 // Intermittent when they confuse the counts — a documented limitation
 // of logical-signature analysis.
 func Classify(t march.Test, width int, mr bisd.MemoryResult) []CellDiagnosis {
-	sites := schedule(t)
+	sites := schedule(t, width)
 	type key struct{ elem, op int }
 	siteBy := make(map[key]readSite, len(sites))
 	for _, s := range sites {

@@ -1,6 +1,7 @@
 package diagnose
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -139,6 +140,28 @@ func TestCellDiagnosisString(t *testing.T) {
 	}
 }
 
+func TestClassifyCutsBackgroundsToWidth(t *testing.T) {
+	// MarchCW(128) names 8 backgrounds; a 16-bit controller has 5, so
+	// the engine runs exactly MarchCW(16)'s schedule and the classifier
+	// must read the records the same way.
+	m := sram.New(32, 16)
+	if err := m.Inject(fault.Fault{Class: fault.SA0, Victim: fault.Cell{Addr: 9, Bit: 13}}); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := bisd.RunProposed([]*sram.Memory{m}, march.MarchCW(128), bisd.ProposedOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wide := Classify(march.MarchCW(128), 16, rep.Memories[0])
+	exact := Classify(march.MarchCW(16), 16, rep.Memories[0])
+	if !reflect.DeepEqual(wide, exact) {
+		t.Fatalf("MarchCW(128) classified as %v, MarchCW(16) as %v", wide, exact)
+	}
+	if len(exact) != 1 || exact[0].Verdict != AlwaysZero {
+		t.Fatalf("SA0 classified as %v", exact)
+	}
+}
+
 func TestScheduleMatchesEngineIndices(t *testing.T) {
 	// The schedule's (element, op) keys must line up with the engine's
 	// failure records: every record of a run must resolve to a site.
@@ -151,7 +174,7 @@ func TestScheduleMatchesEngineIndices(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sites := schedule(test)
+	sites := schedule(test, 4)
 	byKey := map[[2]int]bool{}
 	for _, s := range sites {
 		byKey[[2]int{s.elem, s.op}] = true

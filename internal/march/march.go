@@ -13,7 +13,10 @@ package march
 
 import (
 	"fmt"
+	"slices"
 	"strings"
+
+	"repro/internal/bitvec"
 )
 
 // Order is the address order of a March element.
@@ -39,6 +42,19 @@ func (o Order) String() string {
 	default:
 		return "⇕"
 	}
+}
+
+// Addresses returns the visit sequence of an n-word memory in this
+// order: descending for Down, ascending for Up and Any.
+func (o Order) Addresses(n int) []int {
+	out := make([]int, n)
+	for i := range out {
+		out[i] = i
+		if o == Down {
+			out[i] = n - 1 - i
+		}
+	}
+	return out
 }
 
 // OpKind is the kind of a March operation.
@@ -149,9 +165,9 @@ type Test struct {
 	// Elements is the element sequence.
 	Elements []Element
 	// BackgroundCount is how many data backgrounds the test iterates
-	// over; 1 for single-background tests. Engines repeat per-
-	// background elements (those with PerBackground true in the same
-	// index position) once per background.
+	// over; 1 for single-background tests. AppendSchedule repeats
+	// per-background elements (those with PerBackground true in the
+	// same index position) once per background.
 	BackgroundCount int
 	// PerBackground marks, per element index, whether the element is
 	// repeated once per *non-solid* background (true) — i.e.
@@ -186,19 +202,66 @@ type Complexity struct {
 func (c Complexity) Ops() int { return c.Reads + c.Writes }
 
 // ComplexityFor computes the operation counts of the test on an n-word
-// memory.
+// memory, over all BackgroundCount backgrounds.
 func (t Test) ComplexityFor(n int) Complexity {
 	var cx Complexity
-	for i, e := range t.Elements {
-		times := 1
-		if t.repeated(i) {
-			times = t.BackgroundCount - 1
-		}
-		cx.Reads += times * n * e.Reads()
-		cx.Writes += times * n * e.Writes()
-		cx.Elements += times
+	for _, st := range t.appendSchedule(nil, t.BackgroundCount) {
+		e := t.Elements[st.Element]
+		cx.Reads += n * e.Reads()
+		cx.Writes += n * e.Writes()
+		cx.Elements++
 	}
 	return cx
+}
+
+// Step is one element execution of a test's schedule: Elements[Element]
+// run on data background Background (an index into
+// bitvec.Backgrounds).
+type Step struct {
+	Element, Background int
+}
+
+// AppendSchedule appends to dst the element executions of the test on
+// a controller whose widest memory is c bits, in execution order, and
+// returns the extended slice. An element that runs once runs on
+// background 0; each run of consecutive per-background elements repeats
+// as a group over backgrounds 1..b-1, where b is BackgroundCount cut
+// down to the backgrounds a c-bit word has (Sec. 3.2). Every engine and
+// analysis that needs the execution order walks this schedule.
+func (t Test) AppendSchedule(dst []Step, c int) []Step {
+	return t.appendSchedule(dst, min(t.BackgroundCount, bitvec.NumBackgrounds(c)))
+}
+
+// appendSchedule is AppendSchedule over b backgrounds. It grows dst
+// once, so a fresh controller's schedule costs one allocation.
+func (t Test) appendSchedule(dst []Step, b int) []Step {
+	n := 0
+	for i := range t.Elements {
+		if t.repeated(i) {
+			n += b - 1
+		} else {
+			n++
+		}
+	}
+	dst = slices.Grow(dst, n)
+	for i := 0; i < len(t.Elements); {
+		if !t.repeated(i) {
+			dst = append(dst, Step{Element: i})
+			i++
+			continue
+		}
+		j := i + 1
+		for j < len(t.Elements) && t.repeated(j) {
+			j++
+		}
+		for bg := 1; bg < b; bg++ {
+			for k := i; k < j; k++ {
+				dst = append(dst, Step{Element: k, Background: bg})
+			}
+		}
+		i = j
+	}
+	return dst
 }
 
 // repeated reports whether element i runs once per non-solid background.

@@ -1,6 +1,7 @@
 package march
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -254,5 +255,76 @@ func TestRSMarchIsRenamedCMinus(t *testing.T) {
 	}
 	if rs.ComplexityFor(7).Ops() != 70 {
 		t.Error("RSMarch complexity differs from 10n")
+	}
+}
+
+func TestOrderAddresses(t *testing.T) {
+	cases := []struct {
+		o    Order
+		n    int
+		want []int
+	}{
+		{Down, 4, []int{3, 2, 1, 0}},
+		{Up, 3, []int{0, 1, 2}},
+		{Any, 2, []int{0, 1}},
+		{Down, 0, []int{}},
+	}
+	for _, tc := range cases {
+		if got := tc.o.Addresses(tc.n); !slices.Equal(got, tc.want) {
+			t.Errorf("%s.Addresses(%d) = %v, want %v", tc.o, tc.n, got, tc.want)
+		}
+	}
+}
+
+func TestAppendSchedule(t *testing.T) {
+	w := Element{Order: Any, Ops: []Op{W(false)}}
+	// Two per-background groups split by a run-once element: each
+	// group repeats as a whole per non-solid background, in place.
+	test := Test{
+		Name:            "groups",
+		Elements:        []Element{w, w, w, w},
+		BackgroundCount: 3,
+		PerBackground:   []bool{true, false, true, true},
+	}
+	want := []Step{{0, 1}, {0, 2}, {1, 0}, {2, 1}, {3, 1}, {2, 2}, {3, 2}}
+	if got := test.AppendSchedule(nil, 8); !slices.Equal(got, want) {
+		t.Fatalf("schedule = %v, want %v", got, want)
+	}
+	// A 2-bit word has 2 backgrounds, which cuts the repeats to one.
+	want = []Step{{0, 1}, {1, 0}, {2, 1}, {3, 1}}
+	if got := test.AppendSchedule(nil, 2); !slices.Equal(got, want) {
+		t.Fatalf("2-bit schedule = %v, want %v", got, want)
+	}
+	// Appending keeps dst's prefix.
+	dst := test.AppendSchedule([]Step{{9, 9}}, 2)
+	if !slices.Equal(dst[1:], want) || dst[0] != (Step{9, 9}) {
+		t.Fatalf("append onto a prefix = %v", dst)
+	}
+	// The schedule grows its slice once.
+	cw := WithNWRTM(MarchCW(16))
+	if n := testing.AllocsPerRun(10, func() { cw.AppendSchedule(nil, 16) }); n != 1 {
+		t.Fatalf("AppendSchedule allocated %v times, want 1", n)
+	}
+	// Without per-background flags every element runs once on the
+	// solid background.
+	mc := MarchCMinus()
+	for i, st := range mc.AppendSchedule(nil, 64) {
+		if st != (Step{Element: i}) {
+			t.Fatalf("March C- step %d = %v", i, st)
+		}
+	}
+}
+
+func TestAppendScheduleCutsBackgroundsToWidth(t *testing.T) {
+	// MarchCW(128) names 8 backgrounds; a 16-bit controller has 5, so
+	// it runs exactly MarchCW(16)'s schedule.
+	wide, exact := MarchCW(128).AppendSchedule(nil, 16), MarchCW(16).AppendSchedule(nil, 16)
+	if !slices.Equal(wide, exact) {
+		t.Fatalf("MarchCW(128) at 16 bits = %v, MarchCW(16) = %v", wide, exact)
+	}
+	// At its own width the schedule is the one ComplexityFor counts.
+	cw := WithNWRTM(MarchCW(100))
+	if got, want := len(cw.AppendSchedule(nil, 100)), cw.ComplexityFor(1).Elements; got != want {
+		t.Fatalf("%d scheduled steps, ComplexityFor counts %d", got, want)
 	}
 }

@@ -1,6 +1,7 @@
 package simulator
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/fault"
@@ -272,24 +273,21 @@ func TestRunValidatesTest(t *testing.T) {
 }
 
 func TestDownOrderActuallyDescends(t *testing.T) {
-	// A CFid with aggressor at a higher address than the victim is
-	// sensitized differently by up and down passes; March C- needs
-	// both. Verify the down elements run descending by checking a
-	// fault only a descending pass with specific data detects.
-	seq := addressSequence(march.Down, 4)
-	want := []int{3, 2, 1, 0}
-	for i := range want {
-		if seq[i] != want[i] {
-			t.Fatalf("down sequence = %v", seq)
+	// March C- needs both directions: every scheduled element must
+	// visit the addresses in its element's order, ⇕ ascending.
+	test := march.MarchCMinus()
+	r := NewRunner(4, 2, test)
+	if len(r.schedule) != len(test.Elements) {
+		t.Fatalf("%d scheduled elements, want %d", len(r.schedule), len(test.Elements))
+	}
+	for i, se := range r.schedule {
+		want := []int{0, 1, 2, 3}
+		if test.Elements[i].Order == march.Down {
+			want = []int{3, 2, 1, 0}
 		}
-	}
-	seq = addressSequence(march.Up, 3)
-	if seq[0] != 0 || seq[2] != 2 {
-		t.Fatalf("up sequence = %v", seq)
-	}
-	seq = addressSequence(march.Any, 2)
-	if seq[0] != 0 {
-		t.Fatalf("any sequence = %v", seq)
+		if !slices.Equal(se.addrs, want) {
+			t.Fatalf("element %d (%s) visits %v, want %v", i, test.Elements[i], se.addrs, want)
+		}
 	}
 }
 

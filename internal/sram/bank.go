@@ -64,7 +64,6 @@ type MemoryBank struct {
 	cfsts     []bankCFst
 	drfs      []bankDRF
 
-	retentionMs float64
 	// held is set by the first Hold since Reset. Retention timers only
 	// accumulate in Hold, so until then every timer is zero and writes
 	// skip resetting them — the NWRTM schedule never holds at all.
@@ -140,9 +139,8 @@ func NewMemoryBank(n, c int) *MemoryBank {
 	}
 	b := &MemoryBank{
 		n: n, c: c,
-		cellIdx:     make([]int32, n*c),
-		rowStart:    make([]int32, n+1),
-		retentionMs: DefaultRetentionThresholdMs,
+		cellIdx:  make([]int32, n*c),
+		rowStart: make([]int32, n+1),
 	}
 	for i := range b.cellIdx {
 		b.cellIdx[i] = -1
@@ -155,10 +153,6 @@ func (b *MemoryBank) N() int { return b.n }
 
 // C returns the IO width in bits.
 func (b *MemoryBank) C() int { return b.c }
-
-// SetRetentionThreshold overrides the DRF retention threshold in
-// milliseconds (all lanes).
-func (b *MemoryBank) SetRetentionThreshold(ms float64) { b.retentionMs = ms }
 
 // Reset returns every lane to the fault-free all-zero state, reusing
 // all allocations; the cost is O(special cells), not O(n*c).
@@ -611,7 +605,7 @@ func (b *MemoryBank) Hold(ms float64) {
 		cs := &b.cells[d.cell]
 		if cs.data&lb != 0 == d.value {
 			d.timer += ms
-			if d.timer >= b.retentionMs {
+			if d.timer >= DefaultRetentionThresholdMs {
 				cs.data ^= lb
 			}
 		} else {

@@ -79,8 +79,6 @@ type Memory struct {
 	drfTimer []float64
 	// drfCells indexes the DRF victims so Hold is O(DRF count).
 	drfCells []int
-	// retentionMs is the threshold after which a DRF cell loses data.
-	retentionMs float64
 	// cdfPairs are column-decoder multi-select shorts: accessing IO
 	// bit i also drives/loads column j.
 	cdfPairs []struct{ i, j int }
@@ -99,15 +97,14 @@ func New(n, c int) *Memory {
 	}
 	return &Memory{
 		n: n, c: c,
-		data:        bitvec.NewMatrix(c, n),
-		cellFault:   newCellFaultIndex(n * c),
-		aggFaults:   make([][]int32, n*c),
-		rowFaulty:   make([]bool, n),
-		rowSpecial:  bitvec.NewMatrix(c, n),
-		rowsOf:      make([][]int, n),
-		senseLatch:  bitvec.New(c),
-		drfTimer:    make([]float64, n*c),
-		retentionMs: DefaultRetentionThresholdMs,
+		data:       bitvec.NewMatrix(c, n),
+		cellFault:  newCellFaultIndex(n * c),
+		aggFaults:  make([][]int32, n*c),
+		rowFaulty:  make([]bool, n),
+		rowSpecial: bitvec.NewMatrix(c, n),
+		rowsOf:     make([][]int, n),
+		senseLatch: bitvec.New(c),
+		drfTimer:   make([]float64, n*c),
 	}
 }
 
@@ -158,10 +155,6 @@ func (m *Memory) N() int { return m.n }
 
 // C returns the IO width in bits.
 func (m *Memory) C() int { return m.c }
-
-// SetRetentionThreshold overrides the DRF retention threshold in
-// milliseconds.
-func (m *Memory) SetRetentionThreshold(ms float64) { m.retentionMs = ms }
 
 // Faults returns the injected fault list (sorted by injection call
 // order).
@@ -626,7 +619,7 @@ func (m *Memory) Hold(ms float64) {
 		row, bit := idx/m.c, idx%m.c
 		if m.data[row].Get(bit) == f.Value {
 			m.drfTimer[idx] += ms
-			if m.drfTimer[idx] >= m.retentionMs {
+			if m.drfTimer[idx] >= DefaultRetentionThresholdMs {
 				m.data[row].Set(bit, !f.Value)
 			}
 		} else {

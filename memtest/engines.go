@@ -221,7 +221,11 @@ func (rawSimEngine) Run(ctx context.Context, f *Fleet, opt EngineOptions) (*Repo
 			t := DefaultTest(f.WidestWidth(), opt.IncludeDRF)
 			test = &t
 		}
-		rep.Cycles = int64(test.ComplexityFor(nMax).Ops())
+		ops := 0
+		for _, st := range test.AppendSchedule(nil, f.WidestWidth()) {
+			ops += len(test.Elements[st.Element].Ops)
+		}
+		rep.Cycles = int64(ops * nMax)
 	}
 	return rep, nil
 }

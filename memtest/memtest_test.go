@@ -215,6 +215,25 @@ func TestRawSimMatchesProposedLocatedSet(t *testing.T) {
 	}
 }
 
+func TestRawSimCyclesCutBackgroundsToWidth(t *testing.T) {
+	// The hetero plan's widest memory is 16 bits, which has 5 of
+	// MarchCW(128)'s 8 backgrounds: the simulator runs MarchCW(16)'s
+	// schedule, and the cycle count must charge that schedule.
+	plan := HeterogeneousExample()
+	cycles := func(test MarchTest) int64 {
+		t.Helper()
+		res, err := Diagnose(context.Background(), plan, WithScheme("rawsim"), WithMarchTest(test))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Report.Cycles
+	}
+	wide, exact := cycles(MarchCW(128)), cycles(MarchCW(16))
+	if wide != exact || exact != 1920 {
+		t.Fatalf("rawsim cycles: MarchCW(128) %d, MarchCW(16) %d, want both 1920", wide, exact)
+	}
+}
+
 func TestUnknownSchemeSentinel(t *testing.T) {
 	_, err := New(smallPlan(), WithScheme("quantum"))
 	if !errors.Is(err, ErrUnknownScheme) {
