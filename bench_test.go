@@ -645,6 +645,43 @@ func BenchmarkServiceStream(b *testing.B) {
 	b.ReportMetric(float64(streamDevices)*float64(b.N)/b.Elapsed().Seconds(), "devices/sec")
 }
 
+// BenchmarkServiceStreamBatch is BenchmarkServiceStream at fleet
+// scale: one op is one 4,096-device hetero job (64 full bank batches)
+// through the manager — the fleet workers diagnose and encode, the run
+// loop spools — followed to the end by one reader. Unlike the 8-device
+// job above, which times per-job overhead, it times the streaming
+// path, and its allocs/op divided by 4,096 is the served path's
+// allocations per device.
+func BenchmarkServiceStreamBatch(b *testing.B) {
+	const streamDevices = 4096
+	m, err := service.NewManager(service.Config{Jobs: 1, Queue: 2})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer m.Close()
+	req := service.JobRequest{Plan: memtest.HeterogeneousExample(), Devices: streamDevices, Seed: 7}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		st, err := m.Submit(req)
+		if err != nil {
+			b.Fatal(err)
+		}
+		lines := 0
+		jobErr, err := m.Follow(context.Background(), st.ID, 0, func([]byte) error {
+			lines++
+			return nil
+		})
+		if err != nil || jobErr != "" {
+			b.Fatalf("follow: %v / %q", err, jobErr)
+		}
+		if lines != streamDevices {
+			b.Fatalf("streamed %d lines, want %d", lines, streamDevices)
+		}
+	}
+	b.ReportMetric(float64(streamDevices)*float64(b.N)/b.Elapsed().Seconds(), "devices/sec")
+}
+
 // BenchmarkProposedRunnerReuse is the steady-state form of E8: one
 // reusable runner diagnosing the paper's 512x100 geometry over and
 // over, as a fleet worker does. The allocs/op this reports are the

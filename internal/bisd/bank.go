@@ -3,6 +3,7 @@ package bisd
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 
 	"repro/internal/bitvec"
 	"repro/internal/fault"
@@ -32,28 +33,38 @@ import (
 // special and clean bits in ascending order so the failure records
 // stay byte-identical to the per-device path's.
 //
-// A miscompare is recorded for all its failing lanes at once. The
-// failure records go to one batch log: an entry holds the failing
-// lanes' mask, the bit and the index of its read's record template, so
-// a miscompare costs one append however many lanes fail. After the
-// pass, Run counts each lane's records per memory over the log,
-// allocates every Failures slice at its exact size and fills it in log
-// order, which is each lane's execution order. The located cells go to
-// the lanes' collectors: located holds one lane-mask word per cell of
-// every memory, bit l set once lane l has located that cell, so
-// mism &^ located[cell] is the set of lanes seeing the cell for the
-// first time. Only those lanes append it to their located lists; no
-// lane ever scans its list. The words cover every cell, not only the
+// A miscompare is recorded for all its failing lanes at once, in two
+// batch logs whose entries carry a lane mask, so it costs at most two
+// appends however many lanes fail. The failure log holds the failing
+// lanes' mask, the bit and the index of its read's record template.
+// The located log holds a cell, and its memory, with the mask of the
+// lanes locating it for the first time: located keeps one lane-mask
+// word per cell of every memory, bit l set once lane l has located
+// that cell, so mism &^ located[cell] is that mask and no lane ever
+// scans its located set. The words cover every cell, not only the
 // special ones — under LSB-first delivery clean cells miscompare on
-// every lane.
+// every lane. After the pass, Run cuts one batch buffer per log into
+// every (lane, memory) pair's slice by offset and fills it in log
+// order: a lane's records come out in its execution order, its located
+// cells are then sorted.
 //
-// Every lane's Report is byte-identical to what ProposedRunner.Run
-// would produce for that device alone (pinned by the bisd and memtest
-// differential suites). A BankRunner is not safe for concurrent use;
-// give each fleet worker its own.
+// The reports Run returns live in runner-owned storage — the Report
+// and MemoryResult structs and the two batch buffers — and stay valid
+// only until the next Run; a caller that keeps a report past that
+// copies it, or takes the records over with Keep. Every lane's Report
+// is byte-identical to what ProposedRunner.Run would produce for that
+// device alone (pinned by the bisd and memtest differential suites). A
+// BankRunner is not safe for concurrent use; give each fleet worker
+// its own.
 type BankRunner struct {
 	controller
-	colls   []*collector // one per lane
+	// reports and results are the lanes' output structs, reused batch
+	// after batch: lane l's report is reports[l] and its MemoryResults
+	// are results[l*nm:(l+1)*nm], for nm memories; ptrs[l] is
+	// &reports[l].
+	reports []Report
+	ptrs    []*Report
+	results []MemoryResult
 	written [][]bitvec.Vector
 	// located[locBase[i] + phys*c_i + bit] is memory i's lane-mask word
 	// for the cell.
@@ -65,21 +76,36 @@ type BankRunner struct {
 	// log is the batch's miscompare log, execution order. sites holds
 	// the record template of every read that miscompared on some lane;
 	// site is the current read's index into it, -1 until its first
-	// miscompare.
+	// miscompare. found is the batch's located log.
 	log   []miscompare
 	sites []FailureRecord
 	site  int32
-	// counts and fails are fillFailures' per-(lane, memory) scratch,
-	// index lane*len(geoms) + memory.
+	found []foundCell
+	// counts is the fill passes' per-(lane, memory) scratch, index
+	// lane*nm + memory; fails and cells are the batch buffers every
+	// lane's Failures and Located slice.
 	counts []int
-	fails  [][]FailureRecord
+	fails  []FailureRecord
+	cells  []fault.Cell
+	// handover is set by Keep: the next batch's records are cut from
+	// fresh per-lane allocations rather than from fails and cells.
+	handover bool
 }
 
-// miscompare is one batch log entry: the lanes that failed bit of the
-// read whose record template is sites[site].
+// miscompare is one failure log entry: the lanes that failed bit of
+// the read whose record template is sites[site].
 type miscompare struct {
 	mask      uint64
 	site, bit int32
+}
+
+// foundCell is one located log entry: the lanes that located, for
+// the first time, memory mem's cell phys*c_mem + bit, whose lane-mask
+// word is located[locBase[mem] + cell]. A memory's cells fit an int32,
+// as the bank's cell indexes do.
+type foundCell struct {
+	mask      uint64
+	cell, mem int32
 }
 
 // NewBankRunner returns an empty runner; the first Run sizes it.
@@ -87,11 +113,12 @@ func NewBankRunner() *BankRunner { return &BankRunner{} }
 
 // Run executes one banked batch: the devices loaded into bank lanes
 // [0, lanes) run the March schedule once, word-wide across lanes, and
-// one Report per lane comes back. Cycle and retention accounting is
-// analytic and fault-independent, so it is computed once and stamped
-// into every lane's report — exactly what each device's solo run would
-// have accumulated. opt.Trace is ignored: fleet batches run untraced,
-// as fleet workers do on the per-device path.
+// one Report per lane comes back, valid until the next Run. Cycle and
+// retention accounting is analytic and fault-independent, so it is
+// computed once and stamped into every lane's report — exactly what
+// each device's solo run would have accumulated. opt.Trace is ignored:
+// fleet batches run untraced, as fleet workers do on the per-device
+// path.
 func (r *BankRunner) Run(banks []*sram.MemoryBank, lanes int, test march.Test, opt ProposedOptions) ([]*Report, error) {
 	if lanes < 1 || lanes > sram.BankLanes {
 		return nil, fmt.Errorf("bisd: bank lanes %d out of range [1, %d]", lanes, sram.BankLanes)
@@ -103,10 +130,13 @@ func (r *BankRunner) Run(banks []*sram.MemoryBank, lanes int, test march.Test, o
 	if reused {
 		r.reset()
 	} else {
-		r.colls = make([]*collector, sram.BankLanes)
-		for l := range r.colls {
-			r.colls[l] = newLaneCollector(r.geoms)
+		nm := len(r.geoms)
+		r.reports = make([]Report, sram.BankLanes)
+		r.ptrs = make([]*Report, sram.BankLanes)
+		for l := range r.ptrs {
+			r.ptrs[l] = &r.reports[l]
 		}
+		r.results = make([]MemoryResult, sram.BankLanes*nm)
 		r.written = make([][]bitvec.Vector, len(r.geoms))
 		r.locBase = make([]int, len(r.geoms))
 		cells := 0
@@ -116,10 +146,9 @@ func (r *BankRunner) Run(banks []*sram.MemoryBank, lanes int, test march.Test, o
 			r.written[i] = bitvec.NewMatrix(g.c, g.n)
 		}
 		r.located = make([]uint64, cells)
-		r.counts = make([]int, sram.BankLanes*len(r.geoms))
-		r.fails = make([][]FailureRecord, sram.BankLanes*len(r.geoms))
+		r.counts = make([]int, sram.BankLanes*nm)
 	}
-	r.log, r.sites = r.log[:0], r.sites[:0]
+	r.log, r.sites, r.found = r.log[:0], r.sites[:0], r.found[:0]
 	comp, addrGens := r.comp, r.addrGens
 	spcWord, spcWordInv, intended, intendedInv := r.spcWord, r.spcWordInv, r.intended, r.intendedInv
 	cMax := r.cMax
@@ -213,65 +242,148 @@ func (r *BankRunner) Run(banks []*sram.MemoryBank, lanes int, test march.Test, o
 		return nil, err
 	}
 
-	reports := make([]*Report, lanes)
-	for l := range reports {
-		reports[l] = &Report{
+	nm := len(r.geoms)
+	for l := 0; l < lanes; l++ {
+		mems := r.results[l*nm : (l+1)*nm : (l+1)*nm]
+		for i, g := range r.geoms {
+			mems[i] = MemoryResult{Index: i, Words: g.n, Width: g.c}
+		}
+		r.reports[l] = Report{
 			Scheme: "proposed (SPC/PSC)", ClockNs: opt.ClockNs,
 			Cycles: cycles, RetentionNs: retentionNs,
-			Memories: r.colls[l].finish(),
+			Memories: mems,
 		}
 	}
-	r.fillFailures(reports)
-	return reports, nil
+	r.fillFailures()
+	r.fillLocated(lanes)
+	r.handover = false
+	return r.ptrs[:lanes], nil
 }
 
-// fillFailures hands the batch log's records to the lanes' reports:
-// one pass counts each (lane, memory) pair, each Failures slice is
-// allocated at that size, and a second pass fills them in log order.
-func (r *BankRunner) fillFailures(reports []*Report) {
+// Keep hands the caller the storage behind the last Run's Failures and
+// Located slices: the runner drops its references to it and stops
+// reusing it, so slices the caller took from the reports stay valid for
+// as long as it holds them. Call Keep once done reading the reports:
+// their structs are the runner's, and Keep clears them. The next Run
+// expects to hand its records over too and cuts them from one fresh
+// allocation per lane, so a lane's records are freed with the lane's
+// last holder, not with the whole batch's. A caller that copied the
+// records instead would keep the runner's batch buffers live beside
+// the copies: at paper scale, 64 lanes of ~2,020 56-byte records, or
+// ~7 MB per runner.
+func (r *BankRunner) Keep() {
+	r.fails, r.cells = nil, nil
+	r.handover = true
+	clear(r.results)
+}
+
+// fillFailures hands the failure log's records to the lanes' results:
+// one pass counts each (lane, memory) pair's records, cut gives each
+// pair with records its Failures slice, and a second pass fills them
+// in log order.
+func (r *BankRunner) fillFailures() {
 	nm := len(r.geoms)
-	counts, fails := r.counts, r.fails
 	for _, e := range r.log {
-		mem := r.sites[e.site].Memory
-		for m := e.mask; m != 0; m &= m - 1 {
-			counts[bits.TrailingZeros64(m)*nm+mem]++
-		}
+		r.count(e.mask, r.sites[e.site].Memory)
 	}
-	for k, n := range counts {
-		if n > 0 {
-			fails[k] = make([]FailureRecord, 0, n)
-		}
-	}
+	r.fails = cut(r, r.fails, func(k int, s []FailureRecord) { r.results[k].Failures = s })
 	for _, e := range r.log {
 		rec := r.sites[e.site]
 		rec.Bit = int(e.bit)
 		for m := e.mask; m != 0; m &= m - 1 {
 			k := bits.TrailingZeros64(m)*nm + rec.Memory
-			fails[k] = append(fails[k], rec)
+			r.results[k].Failures[r.counts[k]] = rec
+			r.counts[k]++
 		}
 	}
-	for l, rep := range reports {
-		for i := range rep.Memories {
-			rep.Memories[i].Failures = fails[l*nm+i]
-		}
-	}
-	clear(counts)
-	clear(fails)
+	clear(r.counts)
 }
 
-// reset clears the previous batch's per-lane state for a same-shape
-// run. Every nonzero located word names a cell that some lane
-// appended, so the lanes' located lists clear the array in O(located
-// cells) before the collectors truncate them.
-func (r *BankRunner) reset() {
-	for _, c := range r.colls {
-		for i := range c.mems {
-			base, w := r.locBase[i], r.geoms[i].c
-			for _, cell := range c.mems[i].cells {
-				r.located[base+cell.Addr*w+cell.Bit] = 0
+// fillLocated does the same with the located log, then sorts each
+// lane's located cells. A pair with none gets an empty, non-nil slice:
+// an empty located set must still marshal as [].
+func (r *BankRunner) fillLocated(lanes int) {
+	nm := len(r.geoms)
+	for _, f := range r.found {
+		r.count(f.mask, int(f.mem))
+	}
+	r.cells = cut(r, r.cells, func(k int, s []fault.Cell) { r.results[k].Located = s })
+	for _, f := range r.found {
+		w := int32(r.geoms[f.mem].c)
+		cell := fault.Cell{Addr: int(f.cell / w), Bit: int(f.cell % w)}
+		for m := f.mask; m != 0; m &= m - 1 {
+			k := bits.TrailingZeros64(m)*nm + int(f.mem)
+			r.results[k].Located[r.counts[k]] = cell
+			r.counts[k]++
+		}
+	}
+	clear(r.counts)
+	for k := range lanes * nm {
+		if r.results[k].Located == nil {
+			r.results[k].Located = []fault.Cell{}
+		}
+		fault.SortCells(r.results[k].Located)
+	}
+}
+
+// count adds one entry to every (lane, memory) pair the mask names.
+func (r *BankRunner) count(mask uint64, mem int) {
+	for m := mask; m != 0; m &= m - 1 {
+		r.counts[bits.TrailingZeros64(m)*len(r.geoms)+mem]++
+	}
+}
+
+// cut hands every (lane, memory) pair with entries counted its slice,
+// through set(lane*nm + memory, slice), and zeroes counts, which the
+// fill pass then uses as the pairs' cursors. The slices come from buf,
+// grown with headroom so that a batch a little larger than the last
+// does not reallocate it, and cut returns buf. After Keep they come
+// from one fresh allocation per lane instead, and cut returns nil.
+func cut[T any](r *BankRunner, buf []T, set func(k int, s []T)) []T {
+	if r.handover {
+		nm := len(r.geoms)
+		for l := 0; l < sram.BankLanes; l++ {
+			pairs := r.counts[l*nm : (l+1)*nm]
+			n := 0
+			for _, c := range pairs {
+				n += c
+			}
+			if n == 0 {
+				continue
+			}
+			lane := make([]T, n)
+			for i, c := range pairs {
+				if c > 0 {
+					set(l*nm+i, lane[:c:c])
+					lane = lane[c:]
+				}
 			}
 		}
-		c.reset(r.geoms)
+		clear(r.counts)
+		return nil
+	}
+	total := 0
+	for _, n := range r.counts {
+		total += n
+	}
+	buf = slices.Grow(buf[:0], total)
+	rest := buf[:total]
+	for k, n := range r.counts {
+		if n > 0 {
+			set(k, rest[:n:n])
+			rest = rest[n:]
+		}
+	}
+	clear(r.counts)
+	return buf
+}
+
+// reset clears the previous batch's state for a same-shape run. Every
+// nonzero located word names a cell of the located log, so the log
+// clears the array in O(located cells).
+func (r *BankRunner) reset() {
+	for _, f := range r.found {
+		r.located[r.locBase[f.mem]+int(f.cell)] = 0
 	}
 	for _, mem := range r.written {
 		for _, w := range mem {
@@ -281,26 +393,37 @@ func (r *BankRunner) reset() {
 }
 
 // recordMismatch registers one failing bit for every lane set in mism:
-// one batch log entry, and the cell, appended to the located list of
-// each lane that has not located it yet.
+// one failure log entry and, when some of those lanes have not located
+// the cell yet, one located log entry for them.
 func (r *BankRunner) recordMismatch(mism uint64, mem, logical, phys, bit, elem, bg, op int) {
 	if mism == 0 {
 		return
 	}
-	k := r.locBase[mem] + phys*r.geoms[mem].c + bit
+	cell := phys*r.geoms[mem].c + bit
+	k := r.locBase[mem] + cell
 	seen := r.located[k]
 	r.located[k] = seen | mism
-	cell := fault.Cell{Addr: phys, Bit: bit}
-	for fresh := mism &^ seen; fresh != 0; fresh &= fresh - 1 {
-		m := &r.colls[bits.TrailingZeros64(fresh)].mems[mem]
-		m.cells = append(m.cells, cell)
+	if fresh := mism &^ seen; fresh != 0 {
+		r.found = push(r.found, foundCell{mask: fresh, cell: int32(cell), mem: int32(mem)})
 	}
 	if r.site < 0 {
 		r.site = int32(len(r.sites))
-		r.sites = append(r.sites, FailureRecord{
+		r.sites = push(r.sites, FailureRecord{
 			Memory: mem, LogicalAddr: logical, PhysicalAddr: phys,
 			Element: elem, Background: bg, Op: op,
 		})
 	}
-	r.log = append(r.log, miscompare{mask: mism, site: r.site, bit: int32(bit)})
+	r.log = push(r.log, miscompare{mask: mism, site: r.site, bit: int32(bit)})
+}
+
+// push appends v to a batch log, doubling the log's capacity when it
+// is full. A fresh runner's logs reach their size within a batch or
+// two, and append, which grows a large slice by a quarter at a time,
+// would allocate several times that size on the way: at paper scale,
+// 21 MB for a 2 MB miscompare log per 1,024-device stream.
+func push[T any](log []T, v T) []T {
+	if len(log) == cap(log) {
+		log = slices.Grow(log, len(log)+1)
+	}
+	return append(log, v)
 }

@@ -105,33 +105,31 @@ func (r *Report) TotalLocated() int {
 	return n
 }
 
-// collector gathers failure records and produces MemoryResults.
-// Records and located cells accumulate in reusable per-memory scratch,
-// so a record costs an append and, in the steady state, no allocation;
-// finish copies exact-size slices for the report to retain.
+// collector gathers failure records and produces MemoryResults for the
+// per-device engines. Records and located cells accumulate in reusable
+// per-memory scratch, so a record costs an append and, in the steady
+// state, no allocation; finish copies exact-size slices for the report
+// to retain.
 //
 // Located sets are not small: on the paper's 512x100 e-SRAM with 256
 // faults a device yields ~2,020 records over ~256 located cells, so a
-// list scan per record would cost O(records x located). A per-device
-// collector therefore marks located cells in a bitmap with one bit per
-// cell of the fleet, which reset clears through the located lists in
-// O(located). Bank lanes use lane collectors, which keep only located
-// cells and have no bitmap: BankRunner deduplicates all 64 lanes at
-// once with one lane-mask word per cell and appends only each lane's
-// first-time cells, and it fills the lanes' Failures from its batch
-// miscompare log after finish.
+// list scan per record would cost O(records x located). The collector
+// therefore marks located cells in a bitmap with one bit per cell of
+// the fleet, which reset clears through the located lists in
+// O(located). Bank lanes need no collector: BankRunner deduplicates all
+// 64 lanes at once with one lane-mask word per cell and keeps each
+// lane's located list itself.
 type collector struct {
 	results []MemoryResult
 	mems    []memScratch
 	// seen is the located-set bitmap: memory i's cell (addr, bit) is
-	// bit mems[i].base + addr*c_i + bit. nil on bank lanes.
+	// bit mems[i].base + addr*c_i + bit.
 	seen []uint64
 }
 
 // memScratch is one memory's reusable record and located-cell scratch.
 type memScratch struct {
-	// recs holds the failure records, execution order; always empty on
-	// bank lanes.
+	// recs holds the failure records, execution order.
 	recs []FailureRecord
 	// cells is the located set: unique failing cells, insertion order,
 	// sorted at finish.
@@ -141,24 +139,14 @@ type memScratch struct {
 	base, width int
 }
 
-// newCollector returns a collector that deduplicates its located sets
-// itself, for the per-device engines.
 func newCollector(geoms []geometry) *collector {
-	c := newLaneCollector(geoms)
+	c := &collector{mems: make([]memScratch, len(geoms))}
 	n := 0
 	for i, g := range geoms {
 		c.mems[i].base, c.mems[i].width = n, g.c
 		n += g.n * g.c
 	}
 	c.seen = make([]uint64, (n+63)/64)
-	return c
-}
-
-// newLaneCollector returns an append-only located-set collector for
-// one bank lane: its owner appends each located cell exactly once and
-// records no failures through it.
-func newLaneCollector(geoms []geometry) *collector {
-	c := &collector{mems: make([]memScratch, len(geoms))}
 	c.reset(geoms)
 	return c
 }
@@ -171,11 +159,9 @@ func (c *collector) reset(geoms []geometry) {
 	for i, g := range geoms {
 		c.results[i] = MemoryResult{Index: i, Words: g.n, Width: g.c}
 		m := &c.mems[i]
-		if c.seen != nil {
-			for _, cell := range m.cells {
-				k := m.base + cell.Addr*m.width + cell.Bit
-				c.seen[k>>6] &^= 1 << uint(k&63)
-			}
+		for _, cell := range m.cells {
+			k := m.base + cell.Addr*m.width + cell.Bit
+			c.seen[k>>6] &^= 1 << uint(k&63)
 		}
 		m.recs = m.recs[:0]
 		m.cells = m.cells[:0]

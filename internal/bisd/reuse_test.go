@@ -168,3 +168,57 @@ func TestBankRunnerReuseAcrossShapeChange(t *testing.T) {
 		}
 	}
 }
+
+// TestBankRunnerKeepHandsOverRecords: after Keep, the next batch must
+// not write into the storage behind the last batch's Failures and
+// Located slices. A faulty batch's records, kept, must read the same
+// after a second, differently faulty batch has run on the runner —
+// and without Keep they would not, which shows the second batch does
+// reuse that storage.
+func TestBankRunnerKeepHandsOverRecords(t *testing.T) {
+	load := func(shift int) []*sram.MemoryBank {
+		banks := []*sram.MemoryBank{sram.NewMemoryBank(40, 12)}
+		for l := 0; l < sram.BankLanes; l++ {
+			for _, f := range []fault.Fault{
+				{Class: fault.SA0, Victim: fault.Cell{Addr: (l + shift) % 40, Bit: l % 12}},
+				{Class: fault.TFUp, Victim: fault.Cell{Addr: (3*l + 1 + shift) % 40, Bit: (l + 5) % 12}},
+			} {
+				if err := banks[0].Inject(l, f); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		return banks
+	}
+	test := march.MarchCW(12)
+	opt := ProposedOptions{ClockNs: 10}
+	for _, keep := range []bool{true, false} {
+		r := NewBankRunner()
+		first, err := r.Run(load(0), sram.BankLanes, test, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The structs are the runner's either way; hold the slices.
+		mems := make([]MemoryResult, len(first))
+		for l, rep := range first {
+			mems[l] = rep.Memories[0]
+		}
+		before, err := json.Marshal(mems)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if keep {
+			r.Keep()
+		}
+		if _, err := r.Run(load(7), sram.BankLanes, test, opt); err != nil {
+			t.Fatal(err)
+		}
+		after, err := json.Marshal(mems)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if changed := string(after) != string(before); changed == keep {
+			t.Fatalf("keep=%v: records changed across the next batch = %v", keep, changed)
+		}
+	}
+}

@@ -382,7 +382,7 @@ func (g *Generator) Population(sc *Scratch, dst []Fault, rate float64, types [][
 	cells := g.n * g.c
 	sc.fit(cells)
 	total := int(float64(cells) * rate)
-	buf := slices.Grow(sc.buf[:0], total+min(drfs, cells-total))
+	buf := slices.Grow(sc.buf[:0], PopulationSize(cells, rate, drfs))
 	for len(buf) < total {
 		group := types[g.rng.Intn(len(types))]
 		f := g.Random(group[g.rng.Intn(len(group))])
@@ -419,6 +419,15 @@ func (g *Generator) Population(sc *Scratch, dst []Fault, rate float64, types [][
 		}
 	}
 	return dst, nil
+}
+
+// PopulationSize is the length of every population Population draws
+// over cells cells at the given rate with drfs DRFs: the typed faults,
+// then as many DRFs as there are free cells for. Only a draw that fails
+// returns fewer.
+func PopulationSize(cells int, rate float64, drfs int) int {
+	total := int(float64(cells) * rate)
+	return total + min(drfs, cells-total)
 }
 
 // cellIndex is c's bit in Scratch's bitmap: cell order is (Addr, Bit)

@@ -72,7 +72,10 @@ type BatchRunner interface {
 	// sram.ErrUnbankable; any error is a hard failure for that device.
 	Load(lane int, f *Fleet) error
 	// RunBatch diagnoses lanes [0, lanes) in one schedule pass and
-	// returns their Reports, index = lane.
+	// returns their Reports, index = lane. The Reports may live in the
+	// runner's own storage and need stay valid only until its next
+	// Load or RunBatch; fleet streams copy or encode each lane before
+	// then.
 	RunBatch(ctx context.Context, lanes int, opt EngineOptions) ([]*Report, error)
 }
 

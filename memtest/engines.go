@@ -117,6 +117,10 @@ func (pb *proposedBatchRunner) fit(f *Fleet) {
 	pb.cMax = f.WidestWidth()
 }
 
+// keep lets a fleet stream keep the last batch's located cells and
+// failure records without copying them (see bisd.BankRunner.Keep).
+func (pb *proposedBatchRunner) keep() { pb.r.Keep() }
+
 func (pb *proposedBatchRunner) RunBatch(ctx context.Context, lanes int, opt EngineOptions) ([]*Report, error) {
 	test := opt.Test
 	if test == nil {

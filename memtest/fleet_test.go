@@ -134,6 +134,32 @@ func TestRunFleetRangeEmptyAndInvalid(t *testing.T) {
 // lo + window is diagnosed until the stuck one is released — and the
 // released stream is still byte-identical to an unobstructed run.
 func TestRunFleetRangeReorderWindow(t *testing.T) {
+	checkReorderWindow(t, func(s *Session, lo, hi int, emit func(string, error)) {
+		for dr, err := range s.RunFleetRange(context.Background(), lo, hi) {
+			data, _ := json.Marshal(dr)
+			emit(string(data), err)
+		}
+	})
+}
+
+// TestAppendFleetRangeReorderWindow is the same pin for the encoded
+// stream: the window bounds the lines the workers encode ahead of the
+// stuck device as it bounds the results.
+func TestAppendFleetRangeReorderWindow(t *testing.T) {
+	checkReorderWindow(t, func(s *Session, lo, hi int, emit func(string, error)) {
+		err := s.AppendFleetRange(context.Background(), lo, hi, func(_ int, line []byte) error {
+			emit(string(line), nil)
+			return nil
+		})
+		if err != nil {
+			emit("", err)
+		}
+	})
+}
+
+// checkReorderWindow runs the reorder-window pin over stream, which
+// emits each device of [lo, hi) from s as its JSON line, in order.
+func checkReorderWindow(t *testing.T, stream func(s *Session, lo, hi int, emit func(string, error))) {
 	for _, tc := range []struct {
 		name  string
 		batch bool
@@ -188,18 +214,15 @@ func TestRunFleetRangeReorderWindow(t *testing.T) {
 				data string
 				err  error
 			}
-			stream := make(chan line, hi-lo)
+			lines := make(chan line, hi-lo+1)
 			go func() {
-				defer close(stream)
-				for dr, err := range s.RunFleetRange(context.Background(), lo, hi) {
-					data, _ := json.Marshal(dr)
-					stream <- line{string(data), err}
-				}
+				defer close(lines)
+				stream(s, lo, hi, func(data string, err error) { lines <- line{data, err} })
 			}()
 			unblock := sync.OnceFunc(func() { close(release) })
 			defer func() {
 				unblock()
-				for range stream {
+				for range lines {
 				}
 			}()
 
@@ -219,7 +242,7 @@ func TestRunFleetRangeReorderWindow(t *testing.T) {
 
 			unblock()
 			var got []string
-			for l := range stream {
+			for l := range lines {
 				if l.err != nil {
 					t.Fatal(l.err)
 				}

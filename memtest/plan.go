@@ -130,6 +130,29 @@ func (fb *fleetBuilder) draw(base int64, truth [][]fault.Fault) error {
 	return fb.b.Draw(fb.deriveSeeds(base), truth)
 }
 
+// truthArena returns fault lists for lanes devices, one per memory of
+// the plan, each with room for exactly the population draw writes into
+// it, all cut from one slab: drawing into the arena never allocates,
+// from its first device on.
+func (fb *fleetBuilder) truthArena(lanes int) [][][]fault.Fault {
+	nm := len(fb.plan.Memories)
+	per := 0
+	for _, m := range fb.plan.Memories {
+		per += fault.PopulationSize(m.Words*m.Width, m.DefectRate, m.DRFCount)
+	}
+	slab := make([]fault.Fault, lanes*per)
+	lists := make([][]fault.Fault, lanes*nm)
+	arena := make([][][]fault.Fault, lanes)
+	for l := range arena {
+		arena[l] = lists[l*nm : (l+1)*nm : (l+1)*nm]
+		for i, m := range fb.plan.Memories {
+			n := fault.PopulationSize(m.Words*m.Width, m.DefectRate, m.DRFCount)
+			arena[l][i], slab = slab[:0:n], slab[n:]
+		}
+	}
+	return arena
+}
+
 // mixSeed derives a per-(base, seed, index) seed with a splitmix64-
 // style finalizer, so fleet devices draw independent defect populations
 // deterministically, independent of worker scheduling.

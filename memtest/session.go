@@ -2,9 +2,11 @@ package memtest
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"iter"
 	"runtime"
+	"slices"
 	"sync"
 
 	"repro/internal/fault"
@@ -14,9 +16,10 @@ import (
 
 // Session is a configured diagnosis run: one plan, one engine, one set
 // of options. Sessions are created with New and executed with Run,
-// RunAll or RunFleet; a Session is safe for concurrent fleet execution
-// (RunFleet) but Run/RunAll store the last report for Trace access and
-// should not race with each other.
+// RunAll, RunFleet or AppendFleetRange; a Session is safe for
+// concurrent fleet execution (RunFleet, AppendFleetRange) but
+// Run/RunAll store the last report for Trace access and should not
+// race with each other.
 type Session struct {
 	plan    Plan
 	engine  Engine
@@ -28,7 +31,7 @@ type Session struct {
 
 	report *Report // last single-run report, for evaluate/Trace
 	// builder, when non-nil, builds each device's fleet on recycled
-	// memories; RunFleetRange gives each worker's private Session copy
+	// memories; a fleet stream gives each worker's private Session copy
 	// its own, and a single run builds on a fresh one.
 	builder *fleetBuilder
 	// observe, when non-nil, is called once per device as a fleet
@@ -37,15 +40,22 @@ type Session struct {
 	// noBatch forces the per-device fleet path even when the engine is
 	// a BatchEngine — the differential suite's reference arm.
 	noBatch bool
-	// truthBuf is a fleet worker's truth arena: truthBuf[lane][i] is
-	// memory i's fault list for the batch's lane-th device, drawn in
-	// place batch after batch. A Result keeps only counts derived from
-	// the truth, never the lists, so reusing them across batches is
-	// safe.
+	// truthBuf is a fleet worker's truth arena (see
+	// fleetBuilder.truthArena): truthBuf[lane][i] is memory i's fault
+	// list for the batch's lane-th device, drawn in place batch after
+	// batch. A Result keeps only counts derived from the truth, never
+	// the lists, so reusing them across batches is safe.
 	truthBuf [][][]fault.Fault
 	// laneFleet is the one Fleet runBatch loads every lane from: the
 	// plan and one lane's fault lists, with no memories.
 	laneFleet Fleet
+	// lane is a fleet worker's Result arena: runBatch evaluates each
+	// lane of a batch into it, over the batch runner's reports, and send
+	// copies or encodes it before the next lane reuses it. lineCap is
+	// the length of the worker's last encoded line, the room it asks
+	// for in the next line's buffer.
+	lane    Result
+	lineCap int
 }
 
 // Option configures a Session; see the With* constructors.
@@ -249,25 +259,89 @@ func (s *Session) RunAll(ctx context.Context) (*Result, error) {
 }
 
 // resultFrom evaluates every memory of a completed run against its
-// ground truth. It takes the truth rather than a Fleet because the
-// banked fleet path builds no memories: a batch's reports come back
-// beside the per-lane truth in the worker's arena, which is all
-// evaluation needs.
+// ground truth into a fresh Result. It takes the truth rather than a
+// Fleet because the banked fleet path builds no memories: a batch's
+// reports come back beside the per-lane truth in the worker's arena,
+// which is all evaluation needs.
 func (s *Session) resultFrom(truth [][]fault.Fault, rep *Report) *Result {
-	res := &Result{
-		Engine: s.engine.Name(),
-		Scheme: s.engine.Describe(),
-		Plan:   s.plan.Name,
-		Report: rep,
+	res := new(Result)
+	s.fillResult(res, truth, rep)
+	return res
+}
+
+// fillResult evaluates a completed run into res, reusing res.Memories
+// when it has room, so a fleet worker can evaluate lane after lane
+// into one Result. The evaluation shares rep and its located lists;
+// only a repair budget allocates: the spare allocations and the yield.
+func (s *Session) fillResult(res *Result, truth [][]fault.Fault, rep *Report) {
+	mems := res.Memories[:0]
+	if n := len(rep.Memories); cap(mems) < n {
+		mems = make([]Diagnosis, n)
+	} else {
+		mems = mems[:n]
 	}
-	var locatedPerMem [][]Cell
+	*res = Result{
+		Engine:   s.engine.Name(),
+		Scheme:   s.engine.Describe(),
+		Plan:     s.plan.Name,
+		Report:   rep,
+		Memories: mems,
+	}
 	for i := range rep.Memories {
-		res.Memories = append(res.Memories, s.evaluate(s.plan.Memories[i].Name, truth[i], &rep.Memories[i]))
-		locatedPerMem = append(locatedPerMem, rep.Memories[i].Located)
+		mems[i] = s.evaluate(s.plan.Memories[i].Name, truth[i], &rep.Memories[i])
 	}
 	if s.budget != (Budget{}) {
+		locatedPerMem := make([][]Cell, len(rep.Memories))
+		for i := range rep.Memories {
+			locatedPerMem[i] = rep.Memories[i].Located
+		}
 		y := repair.FleetYield(locatedPerMem, s.budget)
 		res.Yield = &y
+	}
+}
+
+// clone returns a copy of a fillResult result that shares none of its
+// structs: one allocation holds the Result and its Report, and the two
+// memory slices are copied. With deep set, every memory's located
+// cells and failure records are copied too, cut from one slab each;
+// without, they stay shared, for a caller whose batch runner has
+// handed them over (keeper). A Diagnosis keeps sharing its memory
+// report's located list, as evaluate sets it. Repair and Yield are
+// shared, because fillResult allocates them afresh for every device.
+func (r *Result) clone(deep bool) *Result {
+	box := &struct {
+		res Result
+		rep Report
+	}{res: *r, rep: *r.Report}
+	res, rep := &box.res, &box.rep
+	res.Report = rep
+	rep.Memories = slices.Clone(rep.Memories)
+	res.Memories = slices.Clone(res.Memories)
+	if !deep {
+		return res
+	}
+	nCells, nFails := 0, 0
+	for _, m := range rep.Memories {
+		nCells += len(m.Located)
+		nFails += len(m.Failures)
+	}
+	// A zero-capacity make allocates nothing and keeps an empty list
+	// non-nil, which marshals as [] rather than null.
+	cells := make([]Cell, 0, nCells)
+	fails := make([]FailureRecord, 0, nFails)
+	for i := range rep.Memories {
+		m := &rep.Memories[i]
+		if m.Located != nil {
+			k := len(cells)
+			cells = append(cells, m.Located...)
+			m.Located = cells[k:len(cells):len(cells)]
+		}
+		if m.Failures != nil {
+			k := len(fails)
+			fails = append(fails, m.Failures...)
+			m.Failures = fails[k:len(fails):len(fails)]
+		}
+		res.Memories[i].Located = m.Located
 	}
 	return res
 }
@@ -316,152 +390,217 @@ func (s *Session) RunFleet(ctx context.Context, devices int) iter.Seq2[DeviceRes
 // order and keep at most reorderWindow(workers) claims in flight,
 // counting the one that holds the device being yielded, so a slow
 // device holds back a bounded number of finished results, never the
-// rest of the range.
+// rest of the range. Every yielded Result belongs to the caller: the
+// workers copy each device out of their reused storage.
 func (s *Session) RunFleetRange(ctx context.Context, lo, hi int) iter.Seq2[DeviceResult, error] {
 	return func(yield func(DeviceResult, error) bool) {
 		if lo < 0 || hi < lo {
 			yield(DeviceResult{}, fmt.Errorf("%w: [%d, %d)", ErrBadDeviceRange, lo, hi))
 			return
 		}
-		if lo == hi {
-			return
-		}
-		// A private cancel releases the workers when the consumer stops
-		// iterating early, so no goroutine outlives the stream.
-		ctx, cancel := context.WithCancel(ctx)
-		defer cancel()
-		workers := s.workers
-		if workers < 1 {
-			workers = runtime.GOMAXPROCS(0)
-		}
-		workers = min(workers, hi-lo)
-		builders := make([]*fleetBuilder, workers)
-		for w := range builders {
-			fb, err := newFleetBuilder(s.plan)
-			if err != nil {
-				yield(DeviceResult{Device: lo}, err)
-				return
+		dev, err := s.fleet(ctx, lo, hi, nil, func(d int, m fleetMsg) error {
+			if !yield(DeviceResult{Device: d, Seed: deviceSeed(s.seed, d), Result: m.res}, nil) {
+				return errStreamStopped
 			}
-			builders[w] = fb
-		}
-
-		// tokens holds one entry per claim in flight, counting the one
-		// being yielded, so its capacity is the reorder window. Claims
-		// enter queue in device order under claimMu; queue has room for
-		// every token, so that send never blocks.
-		tokens := make(chan struct{}, reorderWindow(workers))
-		queue := make(chan fleetClaim, cap(tokens))
-		var claimMu sync.Mutex
-		next := lo
-		claim := func(step int) (fleetClaim, bool) {
-			// Sends to a claim never block, so a worker would otherwise
-			// keep its processor, and the stream it just woke would
-			// wait for a preemption while finished results pile up to
-			// the window. Yielding first lets the stream drain them.
-			runtime.Gosched()
-			select {
-			case tokens <- struct{}{}:
-			case <-ctx.Done():
-				return fleetClaim{}, false
-			}
-			claimMu.Lock()
-			defer claimMu.Unlock()
-			if next >= hi || ctx.Err() != nil {
-				<-tokens
-				return fleetClaim{}, false
-			}
-			c := fleetClaim{lo: next, n: min(step, hi-next)}
-			c.out = make(chan fleetMsg, c.n)
-			next += c.n
-			queue <- c
-			return c, true
-		}
-
-		var wg sync.WaitGroup
-		// Each worker owns a shallow Session copy so per-run state
-		// (report caching, trace) never races across devices, plus a
-		// private fleet builder, so each device's memories recycle the
-		// worker's allocation instead of rebuilding ~an allocation per
-		// row per device. When the engine is a BatchEngine, workers
-		// claim whole bit-sliced batches instead of single devices: one
-		// schedule pass diagnoses up to BatchRunner.Lanes devices at
-		// once. Both paths yield byte-identical per-device results, so
-		// the claiming granularity never shows in the stream.
-		batcher, _ := s.engine.(BatchEngine)
-		if s.noBatch {
-			batcher = nil
-		}
-		for _, fb := range builders {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				local := *s
-				local.eopt.Trace = nil // trace is single-run only
-				local.builder = fb
-				if batcher != nil {
-					br := batcher.NewBatchRunner()
-					for {
-						c, ok := claim(br.Lanes())
-						if !ok || !local.runBatch(ctx, br, c.lo, c.n, c.out) {
-							return
-						}
-					}
-				}
-				for {
-					c, ok := claim(1)
-					if !ok {
-						return
-					}
-					f, rep, err := local.runOnce(ctx, deviceSeed(s.seed, c.lo), true)
-					var res *Result
-					if err == nil {
-						res = local.resultFrom(f.truth, rep)
-						if local.observe != nil {
-							local.observe(c.lo)
-						}
-					}
-					c.out <- fleetMsg{res, err}
-				}
-			}()
-		}
-		done := make(chan struct{})
-		go func() { wg.Wait(); close(done) }()
-		cancelled := func() {
-			<-done // workers exit on ctx; don't leak them
-			yield(DeviceResult{}, ctx.Err())
-		}
-
-		for d := lo; d < hi; {
-			var c fleetClaim
-			select {
-			case c = <-queue:
-			case <-ctx.Done():
-				cancelled()
-				return
-			}
-			for ; d < c.lo+c.n; d++ {
-				select {
-				case m := <-c.out:
-					if m.err != nil {
-						yield(DeviceResult{Device: d}, m.err)
-						return
-					}
-					if !yield(DeviceResult{Device: d, Seed: deviceSeed(s.seed, d), Result: m.res}, nil) {
-						return
-					}
-				case <-ctx.Done():
-					cancelled()
-					return
-				}
-			}
-			<-tokens
+			return nil
+		})
+		if err != nil && err != errStreamStopped {
+			yield(DeviceResult{Device: dev}, err)
 		}
 	}
 }
 
+// AppendFleetRange diagnoses devices [lo, hi) as RunFleetRange does and
+// calls fn with each device's result line, in device order: the bytes
+// DeviceResult.AppendJSON appends for the DeviceResult RunFleetRange
+// would yield, with no trailing newline. The fleet worker that
+// diagnosed a device encodes its line into a buffer the stream
+// recycles, so no per-device result is built or allocated on the way;
+// line is valid only during the call. The range is checked as
+// RunFleetRange checks it. An error from fn, a cancelled ctx or a
+// device's failure stops the workers and is returned.
+func (s *Session) AppendFleetRange(ctx context.Context, lo, hi int, fn func(device int, line []byte) error) error {
+	if lo < 0 || hi < lo {
+		return fmt.Errorf("%w: [%d, %d)", ErrBadDeviceRange, lo, hi)
+	}
+	lines := new(lineFree)
+	_, err := s.fleet(ctx, lo, hi, lines, func(d int, m fleetMsg) error {
+		err := fn(d, m.line)
+		lines.put(m.line)
+		return err
+	})
+	return err
+}
+
+// errStreamStopped is RunFleetRange's signal that its consumer stopped
+// iterating; it never reaches the consumer.
+var errStreamStopped = errors.New("memtest: fleet stream stopped")
+
+// fleet runs devices [lo, hi) through the session's worker pool and
+// hands each device's outcome to deliver, in device order: an encoded
+// line in a buffer from lines when lines is non-nil, otherwise a
+// caller-owned Result. It returns the first error — deliver's, the
+// context's or a device's — with the device a device error stands for
+// (0 otherwise), once every worker has exited.
+func (s *Session) fleet(ctx context.Context, lo, hi int, lines *lineFree, deliver func(d int, m fleetMsg) error) (int, error) {
+	if lo == hi {
+		return 0, nil
+	}
+	// A private cancel releases the workers whenever the stream ends,
+	// so no goroutine outlives it.
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	workers := s.workers
+	if workers < 1 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	workers = min(workers, hi-lo)
+	builders := make([]*fleetBuilder, workers)
+	for w := range builders {
+		fb, err := newFleetBuilder(s.plan)
+		if err != nil {
+			return lo, err
+		}
+		builders[w] = fb
+	}
+
+	// free holds the claims not in flight; there are reorderWindow of
+	// them, so taking one is taking a place in the window, and the
+	// stream returns each claim, channel and all, once it has
+	// delivered its devices. Claims enter queue in device order under
+	// claimMu; queue has room for every claim, so that send never
+	// blocks.
+	window := reorderWindow(workers)
+	free := make(chan *fleetClaim, window)
+	for range window {
+		free <- &fleetClaim{lines: lines}
+	}
+	queue := make(chan *fleetClaim, window)
+	var claimMu sync.Mutex
+	next := lo
+	claim := func(step int) (*fleetClaim, bool) {
+		// Sends to a claim never block, so a worker would otherwise
+		// keep its processor, and the stream it just woke would wait
+		// for a preemption while finished results pile up to the
+		// window. Yielding first lets the stream drain them.
+		runtime.Gosched()
+		var c *fleetClaim
+		select {
+		case c = <-free:
+		case <-ctx.Done():
+			return nil, false
+		}
+		claimMu.Lock()
+		defer claimMu.Unlock()
+		if next >= hi || ctx.Err() != nil {
+			free <- c
+			return nil, false
+		}
+		c.lo, c.n = next, min(step, hi-next)
+		if cap(c.out) < c.n {
+			c.out = make(chan fleetMsg, step)
+		}
+		next += c.n
+		queue <- c
+		return c, true
+	}
+
+	var wg sync.WaitGroup
+	defer func() {
+		cancel()
+		wg.Wait()
+	}()
+	// Each worker owns a shallow Session copy so per-run state (report
+	// caching, trace, the truth and Result arenas) never races across
+	// devices, plus a private fleet builder, so each device's memories
+	// recycle the worker's allocation instead of rebuilding ~an
+	// allocation per row per device. When the engine is a BatchEngine,
+	// workers claim whole bit-sliced batches instead of single devices:
+	// one schedule pass diagnoses up to BatchRunner.Lanes devices at
+	// once. Both paths yield byte-identical per-device results, so the
+	// claiming granularity never shows in the stream.
+	batcher, _ := s.engine.(BatchEngine)
+	if s.noBatch {
+		batcher = nil
+	}
+	runners := make([]BatchRunner, workers)
+	step := 1
+	if batcher != nil {
+		for w := range runners {
+			runners[w] = batcher.NewBatchRunner()
+		}
+		step = runners[0].Lanes()
+	}
+	if lines != nil {
+		// A stream that keeps up has about one claim per worker waiting
+		// at a time: the ones that finished before the claim ahead.
+		lines.max = workers * step
+	}
+	for w, fb := range builders {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			local := *s
+			local.eopt.Trace = nil // trace is single-run only
+			local.builder = fb
+			if br := runners[w]; br != nil {
+				for {
+					c, ok := claim(br.Lanes())
+					if !ok || !local.runBatch(ctx, br, c) {
+						return
+					}
+				}
+			}
+			for {
+				c, ok := claim(1)
+				if !ok {
+					return
+				}
+				seed := deviceSeed(s.seed, c.lo)
+				f, rep, err := local.runOnce(ctx, seed, true)
+				if err != nil {
+					c.out <- fleetMsg{err: err}
+					continue
+				}
+				if local.observe != nil {
+					local.observe(c.lo)
+				}
+				// A per-device report is the engine's own, so the fresh
+				// result needs no copy.
+				local.send(c, c.lo, local.resultFrom(f.truth, rep))
+			}
+		}()
+	}
+
+	for d := lo; d < hi; {
+		var c *fleetClaim
+		select {
+		case c = <-queue:
+		case <-ctx.Done():
+			return 0, ctx.Err()
+		}
+		for end := c.lo + c.n; d < end; d++ {
+			var m fleetMsg
+			select {
+			case m = <-c.out:
+			case <-ctx.Done():
+				return 0, ctx.Err()
+			}
+			if m.err != nil {
+				return d, m.err
+			}
+			if err := deliver(d, m); err != nil {
+				return 0, err
+			}
+		}
+		free <- c
+	}
+	return 0, nil
+}
+
 // reorderWindow is how many claims — bit-sliced batches, or single
-// devices on the per-device path — RunFleetRange keeps in flight: the
-// one holding the next device to yield plus the ones behind it. A
+// devices on the per-device path — a fleet stream keeps in flight: the
+// one holding the next device to deliver plus the ones behind it. A
 // worker that finds the window full waits for the stream to catch up,
 // which bounds the finished results a slow device can hold back. Two
 // claims per worker let each worker finish one claim and start the
@@ -471,34 +610,105 @@ func reorderWindow(workers int) int { return 2 * workers }
 
 // fleetClaim is one worker claim in flight: devices [lo, lo+n) and the
 // channel their outcomes arrive on, in device order. out has room for
-// all n, so a worker never blocks on delivery.
+// a whole claim, so a worker never blocks on delivery, and it is
+// recycled with the claim. A claim of an encoded stream carries its
+// stream's line buffers.
 type fleetClaim struct {
 	lo, n int
+	lines *lineFree
 	out   chan fleetMsg
 }
 
 // fleetMsg is one device's outcome in flight from a fleet worker to
-// the delivery goroutine; its device is implied by its position in
+// the stream — its encoded line, or its caller-owned Result, or the
+// error that ends the stream; its device is implied by its position in
 // the claim.
 type fleetMsg struct {
-	res *Result
-	err error
+	res  *Result
+	line []byte
+	err  error
 }
 
-// runBatch diagnoses devices [d0, d0+size) as one bit-sliced batch:
-// each device's fault lists are drawn into the worker's truth arena
-// (the same seeds and defect draw as the per-device path, with no
-// memory built) and loaded into lane d-d0; one RunBatch pass then
-// produces every lane's report. Outcomes go to out in ascending device
-// order, so an error stands in for the device it belongs to; on a
-// draw/load error — including a device with an unbankable fault, which
-// the batch path refuses rather than diagnose wrongly — the already
-// loaded lanes still run and deliver (the ordered stream would
-// otherwise wait on them forever) before the failing device's error is
-// sent. It reports whether the worker should keep claiming batches.
-func (s *Session) runBatch(ctx context.Context, br BatchRunner, d0, size int, out chan<- fleetMsg) bool {
-	for len(s.truthBuf) < size {
-		s.truthBuf = append(s.truthBuf, make([][]fault.Fault, len(s.plan.Memories)))
+// lineFree is an encoded stream's free list of line buffers, the most
+// recently returned first: a worker takes one for each line it
+// encodes, and the stream returns it once the line is delivered. It
+// keeps at most max of them, so after a burst — the stream stalled and
+// the window filled up with lines — the surplus goes back to the
+// garbage collector. Idle buffers count as live heap, which the
+// collector lets grow to twice its size, so keeping a whole window's
+// worth would raise a served job's peak memory for the rest of the
+// stream.
+type lineFree struct {
+	mu   sync.Mutex
+	bufs [][]byte
+	max  int
+}
+
+// get returns an empty buffer with room for n bytes.
+func (f *lineFree) get(n int) []byte {
+	f.mu.Lock()
+	var b []byte
+	if k := len(f.bufs); k > 0 {
+		b, f.bufs = f.bufs[k-1], f.bufs[:k-1]
+	}
+	f.mu.Unlock()
+	if cap(b) < n {
+		b = make([]byte, 0, n+n/4)
+	}
+	return b[:0]
+}
+
+func (f *lineFree) put(b []byte) {
+	f.mu.Lock()
+	if len(f.bufs) < f.max {
+		f.bufs = append(f.bufs, b)
+	}
+	f.mu.Unlock()
+}
+
+// send hands device d's finished result to the stream through claim
+// c: res itself, which must then be the caller's to keep, or, for an
+// encoded stream, its line, encoded into one of the stream's line
+// buffers with room for the worker's last line. It reports false,
+// having sent the error instead, when the result cannot be encoded.
+func (s *Session) send(c *fleetClaim, d int, res *Result) bool {
+	if c.lines == nil {
+		c.out <- fleetMsg{res: res}
+		return true
+	}
+	line, err := DeviceResult{Device: d, Seed: deviceSeed(s.seed, d), Result: res}.AppendJSON(c.lines.get(s.lineCap))
+	if err != nil {
+		c.out <- fleetMsg{err: err}
+		return false
+	}
+	s.lineCap = len(line)
+	c.out <- fleetMsg{line: line}
+	return true
+}
+
+// keeper is a BatchRunner that can hand the caller the storage behind
+// its last batch's located cells and failure records, after which it
+// no longer reuses it (bisd.BankRunner.Keep).
+type keeper interface{ keep() }
+
+// runBatch diagnoses claim c's devices as one bit-sliced batch: each
+// device's fault lists are drawn into the worker's truth arena (the
+// same seeds and defect draw as the per-device path, with no memory
+// built) and loaded into its lane; one RunBatch pass then produces
+// every lane's report. Each lane is evaluated into the worker's one
+// reused Result and sent straight away, copied or encoded, so the
+// runner's reports and the Result are free again for the next lane.
+// Outcomes go out in ascending device order, so an error stands in
+// for the device it belongs to; on a draw/load error — including a
+// device with an unbankable fault, which the batch path refuses
+// rather than diagnose wrongly — the already loaded lanes still run
+// and are sent (the ordered stream would otherwise wait on them
+// forever) before the failing device's error is sent. It reports
+// whether the worker should keep claiming batches.
+func (s *Session) runBatch(ctx context.Context, br BatchRunner, c *fleetClaim) bool {
+	d0, size := c.lo, c.n
+	if len(s.truthBuf) < size {
+		s.truthBuf = s.builder.truthArena(size)
 	}
 	s.laneFleet.plan = s.plan
 	loaded := 0
@@ -520,18 +730,35 @@ func (s *Session) runBatch(ctx context.Context, br BatchRunner, d0, size int, ou
 		if err != nil {
 			// A batch-level failure (cancellation, bad test) aborts every
 			// lane; attribute it to the batch's first device.
-			out <- fleetMsg{err: err}
+			c.out <- fleetMsg{err: err}
 			return false
 		}
+		// Results handed to the caller outlive the batch, whose reports
+		// the runner may reuse. A runner that can give up its record
+		// storage does, once the lanes are copied, and the copies share
+		// it; any other runner's records are copied.
+		k, keeps := br.(keeper)
+		keeps = keeps && c.lines == nil
 		for l := 0; l < loaded; l++ {
+			d := d0 + l
 			if s.observe != nil {
-				s.observe(d0 + l)
+				s.observe(d)
 			}
-			out <- fleetMsg{res: s.resultFrom(s.truthBuf[l], reports[l])}
+			s.fillResult(&s.lane, s.truthBuf[l], reports[l])
+			res := &s.lane
+			if c.lines == nil {
+				res = res.clone(!keeps)
+			}
+			if !s.send(c, d, res) {
+				return false
+			}
+		}
+		if keeps {
+			k.keep()
 		}
 	}
 	if loadErr != nil {
-		out <- fleetMsg{err: loadErr}
+		c.out <- fleetMsg{err: loadErr}
 		return false
 	}
 	return true

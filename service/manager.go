@@ -232,10 +232,10 @@ func (m *Manager) releaseWorkers(n int) {
 	m.mu.Unlock()
 }
 
-// run is the manager's job run: it claims a fleet-worker grant,
-// streams Session.RunFleetRange (the full range for a fresh job, the
-// missing suffix for a resume), and spools each device's result as its
-// worker finishes.
+// run is the manager's job run: it claims a fleet-worker grant and
+// spools Session.AppendFleetRange's result lines (the full range for a
+// fresh job, the missing suffix for a resume) in device order. The
+// fleet workers encode the lines, so this loop only appends them.
 func (m *Manager) run(ctx context.Context, j *Job, start func(workers int) bool) error {
 	granted := m.claimWorkers(j)
 	defer m.releaseWorkers(granted)
@@ -265,28 +265,18 @@ func (m *Manager) run(ctx context.Context, j *Job, start func(workers int) bool)
 		m.resumeDevicesRerun += int64(j.Req.Devices - j.ResumeFrom)
 		m.mu.Unlock()
 	}
-	// One line buffer per run: every device result is encoded into it
-	// (DeviceResult.AppendJSON, json.Marshal's bytes without reflection)
-	// and handed to the store, which copies (memory) or batches (disk)
-	// it — no fresh allocation and, with a disk store, no write syscall
-	// per result.
-	var line []byte
-	for dr, err := range session.RunFleetRange(ctx, lo, j.Req.FirstDevice+j.Req.Devices) {
-		if err != nil {
-			return err
-		}
-		if line, err = dr.AppendJSON(line[:0]); err != nil {
-			return err
-		}
+	// One append per line: the store copies (memory) or batches (disk)
+	// it, since the worker's buffer is recycled once this returns.
+	return session.AppendFleetRange(ctx, lo, j.Req.FirstDevice+j.Req.Devices, func(_ int, line []byte) error {
 		j.Lock()
-		err = j.AppendLocked(line)
+		err := j.AppendLocked(line)
 		j.Unlock()
 		if err != nil {
 			return err
 		}
 		m.metrics.devicesCompleted.Inc()
-	}
-	return nil
+		return nil
+	})
 }
 
 // Health reports configured capacity, current load and resume
