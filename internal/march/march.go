@@ -13,7 +13,6 @@ package march
 
 import (
 	"fmt"
-	"slices"
 	"strings"
 
 	"repro/internal/bitvec"
@@ -233,7 +232,9 @@ func (t Test) AppendSchedule(dst []Step, c int) []Step {
 }
 
 // appendSchedule is AppendSchedule over b backgrounds. It grows dst
-// once, so a fresh controller's schedule costs one allocation.
+// once, with an exact make rather than slices.Grow, whose append costs
+// a second allocation under the race detector, so a fresh controller's
+// schedule costs one allocation.
 func (t Test) appendSchedule(dst []Step, b int) []Step {
 	n := 0
 	for i := range t.Elements {
@@ -243,7 +244,11 @@ func (t Test) appendSchedule(dst []Step, b int) []Step {
 			n++
 		}
 	}
-	dst = slices.Grow(dst, n)
+	if cap(dst)-len(dst) < n {
+		grown := make([]Step, len(dst), len(dst)+n)
+		copy(grown, dst)
+		dst = grown
+	}
 	for i := 0; i < len(t.Elements); {
 		if !t.repeated(i) {
 			dst = append(dst, Step{Element: i})

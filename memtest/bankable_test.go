@@ -31,12 +31,12 @@ func densePlan() Plan {
 	}
 }
 
-// drawFleet draws device seed's fault lists on fb into a fresh Fleet
+// drawFleet draws device seed's fault lists on w into a fresh Fleet
 // with no memories — what runBatch hands BatchRunner.Load.
-func drawFleet(t *testing.T, fb *fleetBuilder, seed int64) *Fleet {
+func drawFleet(t *testing.T, w *fleetWorker, seed int64) *Fleet {
 	t.Helper()
-	f := &Fleet{plan: fb.plan, truth: make([][]fault.Fault, len(fb.plan.Memories))}
-	if err := fb.draw(seed, f.truth); err != nil {
+	f := &Fleet{plan: w.plan, truth: make([][]fault.Fault, len(w.plan.Memories))}
+	if err := w.b.Draw(w.deriveSeeds(seed), f.truth); err != nil {
 		t.Fatalf("seed %d: %v", seed, err)
 	}
 	return f
@@ -46,7 +46,7 @@ func TestPlanBuildsAreAlwaysBankable(t *testing.T) {
 	const seeds = 64
 	for _, plan := range []Plan{HeterogeneousExample(), Benchmark16(), densePlan()} {
 		t.Run(plan.Name, func(t *testing.T) {
-			fb, err := newFleetBuilder(plan)
+			fb, err := newFleetWorker(plan, proposedEngine{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -63,7 +63,7 @@ func TestPlanBuildsAreAlwaysBankable(t *testing.T) {
 
 func TestBatchLoadRejectsUnbankableFault(t *testing.T) {
 	plan := smallPlan()
-	fb, err := newFleetBuilder(plan)
+	fb, err := newFleetWorker(plan, proposedEngine{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,20 +97,20 @@ func TestBatchLoadRejectsUnbankableFault(t *testing.T) {
 func TestFleetDrawAllocFree(t *testing.T) {
 	for _, plan := range []Plan{HeterogeneousExample(), Benchmark16()} {
 		t.Run(plan.Name, func(t *testing.T) {
-			fb, err := newFleetBuilder(plan)
+			fb, err := newFleetWorker(plan, proposedEngine{})
 			if err != nil {
 				t.Fatal(err)
 			}
 			truth := make([][]fault.Fault, len(plan.Memories))
 			for seed := range int64(8) {
-				if err := fb.draw(seed, truth); err != nil {
+				if err := fb.b.Draw(fb.deriveSeeds(seed), truth); err != nil {
 					t.Fatal(err)
 				}
 			}
 			seed := int64(0)
 			allocs := testing.AllocsPerRun(50, func() {
 				seed++
-				if err := fb.draw(seed%8, truth); err != nil {
+				if err := fb.b.Draw(fb.deriveSeeds(seed%8), truth); err != nil {
 					t.Fatal(err)
 				}
 			})

@@ -282,14 +282,38 @@ func TestRunFleetDevicesDrawDistinctDefects(t *testing.T) {
 }
 
 func TestRunFleetConcurrentStreams(t *testing.T) {
-	// Two goroutines stream fleets from the same Session at once — the
-	// -race CI step makes this a data-race probe for the worker pool.
+	// Two goroutines stream fleets from the same Session at once while
+	// two more run it one-shot, all taking fleet workers from the one
+	// pool — the -race CI step makes this a data-race probe for the
+	// worker pool.
 	s, err := New(smallPlan(), WithSeed(11), WithWorkers(4))
 	if err != nil {
 		t.Fatal(err)
 	}
 	ref := collectFleet(t, s, 8)
+	one, err := s.RunAll(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	oneRef, _ := json.Marshal(one)
 	var wg sync.WaitGroup
+	for range 2 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for range 4 {
+				res, err := s.RunAll(context.Background())
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if data, _ := json.Marshal(res); string(data) != string(oneRef) {
+					t.Error("concurrent one-shot run differs")
+					return
+				}
+			}
+		}()
+	}
 	results := make([][]string, 2)
 	for g := 0; g < 2; g++ {
 		wg.Add(1)
@@ -419,29 +443,29 @@ func TestFleetBuilderMatchesFreshBuilds(t *testing.T) {
 }
 
 // TestFleetBuilderRecyclesAllocations pins the point of the pooling:
-// building a device's fleet on a warm builder's recycled memories must
-// allocate a small fraction of what a fresh builder's first build
+// building a device's fleet on a warm worker's recycled memories must
+// allocate a small fraction of what a fresh worker's first build
 // does.
 func TestFleetBuilderRecyclesAllocations(t *testing.T) {
 	plan := smallPlan()
-	fb, err := newFleetBuilder(plan)
+	fb, err := newFleetWorker(plan, proposedEngine{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := fb.build(3, true); err != nil {
+	if _, _, err := fb.b.Build(fb.deriveSeeds(3)); err != nil {
 		t.Fatal(err) // warm the recycled fault tables
 	}
 	pooled := testing.AllocsPerRun(50, func() {
-		if _, err := fb.build(3, true); err != nil {
+		if _, _, err := fb.b.Build(fb.deriveSeeds(3)); err != nil {
 			t.Fatal(err)
 		}
 	})
 	fresh := testing.AllocsPerRun(50, func() {
-		cold, err := newFleetBuilder(plan)
+		cold, err := newFleetWorker(plan, proposedEngine{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := cold.build(3, true); err != nil {
+		if _, _, err := cold.b.Build(cold.deriveSeeds(3)); err != nil {
 			t.Fatal(err)
 		}
 	})

@@ -17,9 +17,8 @@ import (
 // Session is a configured diagnosis run: one plan, one engine, one set
 // of options. Sessions are created with New and executed with Run,
 // RunAll, RunFleet or AppendFleetRange; a Session is safe for
-// concurrent fleet execution (RunFleet, AppendFleetRange) but
-// Run/RunAll store the last report for Trace access and should not
-// race with each other.
+// concurrent use, except that runs sharing a WithTrace recorder
+// interleave their events.
 type Session struct {
 	plan    Plan
 	engine  Engine
@@ -29,33 +28,12 @@ type Session struct {
 	seed    int64
 	seedSet bool
 
-	report *Report // last single-run report, for evaluate/Trace
-	// builder, when non-nil, builds each device's fleet on recycled
-	// memories; a fleet stream gives each worker's private Session copy
-	// its own, and a single run builds on a fresh one.
-	builder *fleetBuilder
 	// observe, when non-nil, is called once per device as a fleet
 	// worker finishes diagnosing it (see WithDeviceObserver).
 	observe func(device int)
 	// noBatch forces the per-device fleet path even when the engine is
 	// a BatchEngine — the differential suite's reference arm.
 	noBatch bool
-	// truthBuf is a fleet worker's truth arena (see
-	// fleetBuilder.truthArena): truthBuf[lane][i] is memory i's fault
-	// list for the batch's lane-th device, drawn in place batch after
-	// batch. A Result keeps only counts derived from the truth, never
-	// the lists, so reusing them across batches is safe.
-	truthBuf [][][]fault.Fault
-	// laneFleet is the one Fleet runBatch loads every lane from: the
-	// plan and one lane's fault lists, with no memories.
-	laneFleet Fleet
-	// lane is a fleet worker's Result arena: runBatch evaluates each
-	// lane of a batch into it, over the batch runner's reports, and send
-	// copies or encodes it before the next lane reuses it. lineCap is
-	// the length of the worker's last encoded line, the room it asks
-	// for in the next line's buffer.
-	lane    Result
-	lineCap int
 }
 
 // Option configures a Session; see the With* constructors.
@@ -201,24 +179,15 @@ func (s *Session) Engine() Engine { return s.engine }
 // Trace returns the events recorded by the WithTrace recorder, if any.
 func (s *Session) Trace() []TraceEvent { return s.eopt.Trace.Events() }
 
-// runOnce builds one device's fleet and runs the engine on it.
-func (s *Session) runOnce(ctx context.Context, base int64, derive bool) (*Fleet, *Report, error) {
-	fb := s.builder
-	if fb == nil {
-		var err error
-		if fb, err = newFleetBuilder(s.plan); err != nil {
-			return nil, nil, err
-		}
-	}
-	f, err := fb.build(base, derive)
+// runOnce diagnoses the session's single device on a pooled worker
+// and returns its ground truth and report.
+func (s *Session) runOnce(ctx context.Context) ([][]fault.Fault, *Report, error) {
+	w, err := s.worker()
 	if err != nil {
 		return nil, nil, err
 	}
-	rep, err := s.engine.Run(ctx, f, s.eopt)
-	if err != nil {
-		return nil, nil, err
-	}
-	return f, rep, nil
+	defer workerPool.Put(w)
+	return w.diagnose(ctx, s.eopt, s.seed, s.seedSet)
 }
 
 // Run executes the session's engine once and streams the evaluated
@@ -229,18 +198,17 @@ func (s *Session) runOnce(ctx context.Context, base int64, derive bool) (*Fleet,
 // diagnosis.
 func (s *Session) Run(ctx context.Context) iter.Seq2[Diagnosis, error] {
 	return func(yield func(Diagnosis, error) bool) {
-		f, rep, err := s.runOnce(ctx, s.seed, s.seedSet)
+		truth, rep, err := s.runOnce(ctx)
 		if err != nil {
 			yield(Diagnosis{}, err)
 			return
 		}
-		s.report = rep
 		for i := range rep.Memories {
 			if err := ctx.Err(); err != nil {
 				yield(Diagnosis{}, err)
 				return
 			}
-			if !yield(s.evaluate(s.plan.Memories[i].Name, f.truth[i], &rep.Memories[i]), nil) {
+			if !yield(s.evaluate(s.plan.Memories[i].Name, truth[i], &rep.Memories[i]), nil) {
 				return
 			}
 		}
@@ -250,30 +218,21 @@ func (s *Session) Run(ctx context.Context) iter.Seq2[Diagnosis, error] {
 // RunAll executes the session and materializes the full Result,
 // including fleet yield statistics when a repair budget is set.
 func (s *Session) RunAll(ctx context.Context) (*Result, error) {
-	f, rep, err := s.runOnce(ctx, s.seed, s.seedSet)
+	truth, rep, err := s.runOnce(ctx)
 	if err != nil {
 		return nil, err
 	}
-	s.report = rep
-	return s.resultFrom(f.truth, rep), nil
+	return s.fillResult(new(Result), truth, rep), nil
 }
 
-// resultFrom evaluates every memory of a completed run against its
-// ground truth into a fresh Result. It takes the truth rather than a
-// Fleet because the banked fleet path builds no memories: a batch's
-// reports come back beside the per-lane truth in the worker's arena,
-// which is all evaluation needs.
-func (s *Session) resultFrom(truth [][]fault.Fault, rep *Report) *Result {
-	res := new(Result)
-	s.fillResult(res, truth, rep)
-	return res
-}
-
-// fillResult evaluates a completed run into res, reusing res.Memories
-// when it has room, so a fleet worker can evaluate lane after lane
-// into one Result. The evaluation shares rep and its located lists;
-// only a repair budget allocates: the spare allocations and the yield.
-func (s *Session) fillResult(res *Result, truth [][]fault.Fault, rep *Report) {
+// fillResult evaluates every memory of a completed run against its
+// ground truth into res and returns it. It reuses res.Memories when it
+// has room, so a fleet worker can evaluate lane after lane into one
+// Result, and takes the truth rather than a Fleet, because the banked
+// path builds no memories. The evaluation shares rep and its located
+// lists; only a repair budget allocates: the spare allocations and
+// the yield.
+func (s *Session) fillResult(res *Result, truth [][]fault.Fault, rep *Report) *Result {
 	mems := res.Memories[:0]
 	if n := len(rep.Memories); cap(mems) < n {
 		mems = make([]Diagnosis, n)
@@ -298,6 +257,7 @@ func (s *Session) fillResult(res *Result, truth [][]fault.Fault, rep *Report) {
 		y := repair.FleetYield(locatedPerMem, s.budget)
 		res.Yield = &y
 	}
+	return res
 }
 
 // clone returns a copy of a fillResult result that shares none of its
@@ -455,14 +415,35 @@ func (s *Session) fleet(ctx context.Context, lo, hi int, lines *lineFree, delive
 		workers = runtime.GOMAXPROCS(0)
 	}
 	workers = min(workers, hi-lo)
-	builders := make([]*fleetBuilder, workers)
-	for w := range builders {
-		fb, err := newFleetBuilder(s.plan)
+	// When the engine is a BatchEngine, workers claim whole bit-sliced
+	// batches instead of single devices: one schedule pass diagnoses up
+	// to BatchRunner.Lanes devices at once. Both paths yield
+	// byte-identical per-device results, so the claiming granularity
+	// never shows in the stream.
+	batcher, batched := s.engine.(BatchEngine)
+	batched = batched && !s.noBatch
+	step := 1
+	ws := make([]*fleetWorker, workers)
+	for i := range ws {
+		w, err := s.worker()
 		if err != nil {
 			return lo, err
 		}
-		builders[w] = fb
+		ws[i] = w
+		if batched {
+			if w.runner == nil {
+				w.runner = batcher.NewBatchRunner()
+			}
+			step = w.runner.Lanes()
+		}
 	}
+	if lines != nil {
+		// A stream that keeps up has about one claim per worker waiting
+		// at a time: the ones that finished before the claim ahead.
+		lines.max = workers * step
+	}
+	opt := s.eopt
+	opt.Trace = nil // trace is single-run only
 
 	// free holds the claims not in flight; there are reorderWindow of
 	// them, so taking one is taking a place in the window, and the
@@ -478,7 +459,7 @@ func (s *Session) fleet(ctx context.Context, lo, hi int, lines *lineFree, delive
 	queue := make(chan *fleetClaim, window)
 	var claimMu sync.Mutex
 	next := lo
-	claim := func(step int) (*fleetClaim, bool) {
+	claim := func() (*fleetClaim, bool) {
 		// Sends to a claim never block, so a worker would otherwise
 		// keep its processor, and the stream it just woke would wait
 		// for a preemption while finished results pile up to the
@@ -505,69 +486,45 @@ func (s *Session) fleet(ctx context.Context, lo, hi int, lines *lineFree, delive
 		return c, true
 	}
 
+	// The workers go back to the pool once the stream has delivered its
+	// last device, not as each runs out of claims: delivering the tail
+	// of a paper-scale stream runs the collector, which empties the
+	// pool. Nothing they sent uses their storage by then: results are
+	// copies and lines live in the stream's buffers.
 	var wg sync.WaitGroup
 	defer func() {
 		cancel()
 		wg.Wait()
-	}()
-	// Each worker owns a shallow Session copy so per-run state (report
-	// caching, trace, the truth and Result arenas) never races across
-	// devices, plus a private fleet builder, so each device's memories
-	// recycle the worker's allocation instead of rebuilding ~an
-	// allocation per row per device. When the engine is a BatchEngine,
-	// workers claim whole bit-sliced batches instead of single devices:
-	// one schedule pass diagnoses up to BatchRunner.Lanes devices at
-	// once. Both paths yield byte-identical per-device results, so the
-	// claiming granularity never shows in the stream.
-	batcher, _ := s.engine.(BatchEngine)
-	if s.noBatch {
-		batcher = nil
-	}
-	runners := make([]BatchRunner, workers)
-	step := 1
-	if batcher != nil {
-		for w := range runners {
-			runners[w] = batcher.NewBatchRunner()
+		for _, w := range ws {
+			workerPool.Put(w)
 		}
-		step = runners[0].Lanes()
-	}
-	if lines != nil {
-		// A stream that keeps up has about one claim per worker waiting
-		// at a time: the ones that finished before the claim ahead.
-		lines.max = workers * step
-	}
-	for w, fb := range builders {
+	}()
+	for _, w := range ws {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			local := *s
-			local.eopt.Trace = nil // trace is single-run only
-			local.builder = fb
-			if br := runners[w]; br != nil {
-				for {
-					c, ok := claim(br.Lanes())
-					if !ok || !local.runBatch(ctx, br, c) {
-						return
-					}
-				}
-			}
 			for {
-				c, ok := claim(1)
+				c, ok := claim()
 				if !ok {
 					return
 				}
-				seed := deviceSeed(s.seed, c.lo)
-				f, rep, err := local.runOnce(ctx, seed, true)
+				if batched {
+					if !w.runBatch(ctx, s, opt, c) {
+						return
+					}
+					continue
+				}
+				truth, rep, err := w.diagnose(ctx, opt, deviceSeed(s.seed, c.lo), true)
 				if err != nil {
 					c.out <- fleetMsg{err: err}
 					continue
 				}
-				if local.observe != nil {
-					local.observe(c.lo)
+				if s.observe != nil {
+					s.observe(c.lo)
 				}
 				// A per-device report is the engine's own, so the fresh
 				// result needs no copy.
-				local.send(c, c.lo, local.resultFrom(f.truth, rep))
+				w.send(s, c, c.lo, s.fillResult(new(Result), truth, rep))
 			}
 		}()
 	}
@@ -664,104 +621,6 @@ func (f *lineFree) put(b []byte) {
 		f.bufs = append(f.bufs, b)
 	}
 	f.mu.Unlock()
-}
-
-// send hands device d's finished result to the stream through claim
-// c: res itself, which must then be the caller's to keep, or, for an
-// encoded stream, its line, encoded into one of the stream's line
-// buffers with room for the worker's last line. It reports false,
-// having sent the error instead, when the result cannot be encoded.
-func (s *Session) send(c *fleetClaim, d int, res *Result) bool {
-	if c.lines == nil {
-		c.out <- fleetMsg{res: res}
-		return true
-	}
-	line, err := DeviceResult{Device: d, Seed: deviceSeed(s.seed, d), Result: res}.AppendJSON(c.lines.get(s.lineCap))
-	if err != nil {
-		c.out <- fleetMsg{err: err}
-		return false
-	}
-	s.lineCap = len(line)
-	c.out <- fleetMsg{line: line}
-	return true
-}
-
-// keeper is a BatchRunner that can hand the caller the storage behind
-// its last batch's located cells and failure records, after which it
-// no longer reuses it (bisd.BankRunner.Keep).
-type keeper interface{ keep() }
-
-// runBatch diagnoses claim c's devices as one bit-sliced batch: each
-// device's fault lists are drawn into the worker's truth arena (the
-// same seeds and defect draw as the per-device path, with no memory
-// built) and loaded into its lane; one RunBatch pass then produces
-// every lane's report. Each lane is evaluated into the worker's one
-// reused Result and sent straight away, copied or encoded, so the
-// runner's reports and the Result are free again for the next lane.
-// Outcomes go out in ascending device order, so an error stands in
-// for the device it belongs to; on a draw/load error — including a
-// device with an unbankable fault, which the batch path refuses
-// rather than diagnose wrongly — the already loaded lanes still run
-// and are sent (the ordered stream would otherwise wait on them
-// forever) before the failing device's error is sent. It reports
-// whether the worker should keep claiming batches.
-func (s *Session) runBatch(ctx context.Context, br BatchRunner, c *fleetClaim) bool {
-	d0, size := c.lo, c.n
-	if len(s.truthBuf) < size {
-		s.truthBuf = s.builder.truthArena(size)
-	}
-	s.laneFleet.plan = s.plan
-	loaded := 0
-	var loadErr error
-	for ; loaded < size; loaded++ {
-		truth := s.truthBuf[loaded]
-		err := s.builder.draw(deviceSeed(s.seed, d0+loaded), truth)
-		if err == nil {
-			s.laneFleet.truth = truth
-			err = br.Load(loaded, &s.laneFleet)
-		}
-		if err != nil {
-			loadErr = err
-			break
-		}
-	}
-	if loaded > 0 {
-		reports, err := br.RunBatch(ctx, loaded, s.eopt)
-		if err != nil {
-			// A batch-level failure (cancellation, bad test) aborts every
-			// lane; attribute it to the batch's first device.
-			c.out <- fleetMsg{err: err}
-			return false
-		}
-		// Results handed to the caller outlive the batch, whose reports
-		// the runner may reuse. A runner that can give up its record
-		// storage does, once the lanes are copied, and the copies share
-		// it; any other runner's records are copied.
-		k, keeps := br.(keeper)
-		keeps = keeps && c.lines == nil
-		for l := 0; l < loaded; l++ {
-			d := d0 + l
-			if s.observe != nil {
-				s.observe(d)
-			}
-			s.fillResult(&s.lane, s.truthBuf[l], reports[l])
-			res := &s.lane
-			if c.lines == nil {
-				res = res.clone(!keeps)
-			}
-			if !s.send(c, d, res) {
-				return false
-			}
-		}
-		if keeps {
-			k.keep()
-		}
-	}
-	if loadErr != nil {
-		c.out <- fleetMsg{err: loadErr}
-		return false
-	}
-	return true
 }
 
 // deviceSeed derives device d's base seed from the session seed.

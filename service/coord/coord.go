@@ -218,18 +218,23 @@ func (c *Coordinator) Close() {
 	c.prober.Wait()
 }
 
-// planWorkers is the live shard-sizing input: the active workers'
-// summed idle device-worker pools from the prober's cached health, so
-// a degraded fleet plans fewer, larger shards instead of parking
-// ranges on capacity that is not there. Falls back to the active
-// worker count when nothing reports idle capacity, and to 1 when the
-// whole fleet is dark (the job then waits on dispatch, not planning).
+// planWorkers is the shard-sizing input: the summed configured pools
+// of the active workers, so down and quarantined workers count zero
+// and a busy one counts in full. An idle sample can be a probe
+// interval old, which would make the plan random, and stragglers are
+// the steal monitor's job. Falls back to the active count when no
+// worker reports a pool, and to 1 when the whole fleet is dark (the
+// job then waits on dispatch).
 func (c *Coordinator) planWorkers() int {
-	idle, active := c.reg.capacity()
-	if idle <= 0 {
-		idle = active
+	views, pools, _ := c.reg.snapshot()
+	if pools <= 0 {
+		for _, v := range views {
+			if v.Healthy {
+				pools++
+			}
+		}
 	}
-	return max(idle, 1)
+	return max(pools, 1)
 }
 
 // AddWorker joins a memtestd node to the fleet by base URL. It is

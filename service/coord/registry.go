@@ -84,10 +84,10 @@ func normalizeWorkerURL(raw string) (string, error) {
 }
 
 // registry is the mutable worker membership table plus the prober's
-// policy knobs. Dispatch (pick), healthz (snapshot) and shard sizing
-// (capacity) all read the cached probe state — the only goroutine that
-// talks to worker healthz endpoints is the prober (and the inline
-// probe on join/startup).
+// policy knobs. Dispatch (pick), healthz and shard sizing (snapshot)
+// all read the cached probe state — the only goroutine that talks to
+// worker healthz endpoints is the prober (and the inline probe on
+// join/startup).
 type registry struct {
 	hc           *http.Client
 	probeTimeout time.Duration
@@ -402,20 +402,6 @@ func (r *registry) snapshot() (views []service.WorkerHealth, fleetWorkers, idleW
 		w.mu.Unlock()
 	}
 	return views, fleetWorkers, idleWorkers
-}
-
-// capacity is the live shard-sizing input: the active workers' summed
-// idle device-worker pools, and how many workers are active at all.
-func (r *registry) capacity() (idle, active int) {
-	for _, w := range r.list() {
-		w.mu.Lock()
-		if w.state == stateActive {
-			active++
-			idle += w.health.IdleWorkers
-		}
-		w.mu.Unlock()
-	}
-	return idle, active
 }
 
 // stealTargets returns the active workers with idle capacity, skipping

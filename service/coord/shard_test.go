@@ -3,6 +3,7 @@ package coord
 import (
 	"fmt"
 	"testing"
+	"time"
 
 	"repro/service"
 )
@@ -57,14 +58,15 @@ func TestPlanShardsCoversRangeContiguously(t *testing.T) {
 	}
 }
 
-// TestPlanWorkersDegradedFleet: shard sizing follows the prober's
-// cached live capacity — the summed idle device-worker pools of the
-// active workers — so a degraded fleet plans fewer, larger shards
-// instead of parking ranges on workers that are down or quarantined.
+// TestPlanWorkersDegradedFleet: shard sizing follows membership — the
+// summed configured device-worker pools of the active workers — so a
+// busy but alive worker plans at its full pool, whatever its last idle
+// sample said, while down and quarantined workers count zero and a
+// degraded fleet plans fewer, larger shards.
 func TestPlanWorkersDegradedFleet(t *testing.T) {
 	type wk struct {
-		state string
-		idle  int
+		state      string
+		pool, idle int
 	}
 	for _, tc := range []struct {
 		name    string
@@ -73,15 +75,18 @@ func TestPlanWorkersDegradedFleet(t *testing.T) {
 		devices int
 		shards  int // resulting planShards count at MinShard 64
 	}{
-		{"full fleet", []wk{{stateActive, 4}, {stateActive, 4}, {stateActive, 4}}, 12, 1024, 12},
-		{"one survivor", []wk{{stateActive, 4}, {stateDown, 4}, {stateQuarantined, 4}}, 4, 1024, 4},
-		{"busy but alive", []wk{{stateActive, 0}, {stateActive, 0}}, 2, 1024, 2},
-		{"all dark", []wk{{stateDown, 4}, {stateQuarantined, 4}}, 1, 1024, 1},
+		{"full fleet", []wk{{stateActive, 4, 4}, {stateActive, 4, 4}, {stateActive, 4, 4}}, 12, 1024, 12},
+		{"one survivor", []wk{{stateActive, 4, 4}, {stateDown, 4, 4}, {stateQuarantined, 4, 4}}, 4, 1024, 4},
+		{"busy but alive", []wk{{stateActive, 4, 0}, {stateActive, 4, 0}}, 8, 1024, 8},
+		{"one busy, one idle", []wk{{stateActive, 1, 0}, {stateActive, 1, 1}}, 2, 2048, 2},
+		{"no pool reported", []wk{{stateActive, 0, 0}, {stateActive, 0, 0}, {stateDown, 0, 0}}, 2, 1024, 2},
+		{"all dark", []wk{{stateDown, 4, 4}, {stateQuarantined, 4, 4}}, 1, 1024, 1},
 		{"empty fleet", nil, 1, 1024, 1},
 	} {
-		r := &registry{}
+		r := &registry{now: time.Now}
 		for i, f := range tc.fleet {
 			w := &worker{url: fmt.Sprintf("http://w%d", i), state: f.state}
+			w.health.FleetWorkers = f.pool
 			w.health.IdleWorkers = f.idle
 			r.workers = append(r.workers, w)
 		}
