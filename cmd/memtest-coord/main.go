@@ -11,10 +11,10 @@
 //	memtest-coord -worker http://host1:8347 -worker http://host2:8347
 //	              [-addr :8357] [-jobs 2] [-queue 16] [-min-shard 64]
 //	              [-redispatch 3] [-drain 15s] [-data-dir DIR]
-//	              [-retain-jobs N] [-retain-bytes N] [-resume=true]
+//	              [-retain-jobs N] [-retain-bytes N]
 //	              [-probe-interval 2s] [-probe-backoff-max 30s]
 //	              [-quarantine-after 3] [-rejoin-after 2]
-//	              [-steal-threshold 4] [-steal-interval 1s]
+//	              [-steal-threshold 4]
 //	              [-log-level info] [-log-format text] [-debug-addr ADDR]
 //
 // Each job's device range splits into contiguous per-worker shards
@@ -22,9 +22,7 @@
 // stream reconnect and worker-side crash resume, a worker dead past
 // the reconnect budget has its shard re-dispatched elsewhere, and with
 // -data-dir the coordinator's own restart recovers the shard table and
-// re-merges only the missing suffix. Workers must run with crash
-// resume enabled (their default); reachable workers that report
-// resume disabled are refused at startup.
+// re-merges only the missing suffix.
 //
 // The -worker flags only seed the fleet: membership is mutable at
 // runtime via POST/DELETE /v1/workers (GET lists the cached view), so
@@ -34,10 +32,11 @@
 // -probe-backoff-max while a worker is failing); workers that flap or
 // fail -quarantine-after consecutive probes are quarantined — skipped
 // by dispatch until -rejoin-after consecutive clean probes readmit
-// them. Straggler shards whose unmerged remainder exceeds
-// -steal-threshold times the fleet median have that remainder re-split
-// across idle workers as new range jobs (the merged stream stays
-// byte-identical); -steal-threshold 0 disables stealing.
+// them. Once a second, a steal monitor sizes up each running job:
+// straggler shards whose unmerged remainder exceeds -steal-threshold
+// times the fleet median have that remainder re-split across idle
+// workers as new range jobs (the merged stream stays byte-identical);
+// -steal-threshold 0 disables stealing.
 //
 // The coordinator always serves Prometheus metrics (coord_* series
 // plus the per-worker fleet view) at GET /metrics on the main
@@ -99,13 +98,11 @@ func main() {
 		dataDir     = flag.String("data-dir", "", "spool merged manifests and results here; empty = in-memory (jobs die with the process)")
 		retainJobs  = flag.Int("retain-jobs", 0, "finished jobs kept before the oldest are evicted (0 = unlimited)")
 		retainBytes = flag.Int64("retain-bytes", 0, "total merged result bytes kept before the oldest finished jobs are evicted (0 = unlimited)")
-		resume      = flag.Bool("resume", true, "resume crash-interrupted merges on startup by re-attaching to worker jobs; false recovers them as failed with partial results")
 		probeEvery  = flag.Duration("probe-interval", 2*time.Second, "background health-probe cadence for healthy workers")
 		probeBoMax  = flag.Duration("probe-backoff-max", 30*time.Second, "cap on the per-worker exponential probe backoff while a worker is failing")
 		quarAfter   = flag.Int("quarantine-after", 3, "consecutive probe failures (or flaps) before a worker is quarantined")
 		rejoinAfter = flag.Int("rejoin-after", 2, "consecutive clean probes a quarantined worker needs to rejoin the active set")
 		stealThresh = flag.Float64("steal-threshold", 4, "steal a shard's remainder when it exceeds this multiple of the fleet median remainder (0 disables stealing)")
-		stealEvery  = flag.Duration("steal-interval", time.Second, "how often the steal monitor sizes up a running job's shards")
 		logLevel    = flag.String("log-level", "info", "log verbosity: debug, info, warn or error")
 		logFormat   = flag.String("log-format", "text", "log encoding: text (key=value) or json")
 		debugAddr   = flag.String("debug-addr", "", "optional second listener with /debug/pprof/ and /metrics; bind to loopback")
@@ -132,13 +129,11 @@ func main() {
 		MinShard: *minShard, Redispatches: *redispatch,
 		Backoff:    client.Backoff{Initial: *boInitial, Max: *boMax, Attempts: *boAttempts},
 		RetainJobs: *retainJobs, RetainBytes: *retainBytes,
-		NoResume:        !*resume,
 		ProbeInterval:   *probeEvery,
 		ProbeBackoffMax: *probeBoMax,
 		QuarantineAfter: *quarAfter,
 		RejoinAfter:     *rejoinAfter,
 		StealThreshold:  *stealThresh,
-		StealInterval:   *stealEvery,
 		Metrics:         reg,
 		Logger:          log,
 	}

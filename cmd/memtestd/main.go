@@ -7,7 +7,7 @@
 // Usage:
 //
 //	memtestd [-addr :8347] [-jobs 2] [-queue 16] [-workers 0] [-drain 15s]
-//	         [-data-dir DIR] [-retain-jobs N] [-retain-bytes N] [-resume=true]
+//	         [-data-dir DIR] [-retain-jobs N] [-retain-bytes N]
 //	         [-log-level info] [-log-format text] [-debug-addr ADDR]
 //
 // Without -data-dir, jobs live in process memory and die with the
@@ -16,9 +16,9 @@
 // jobs re-stream byte-identically, and jobs interrupted by the
 // previous crash resume — only the missing device suffix is re-run,
 // appended to the spooled prefix, so the final stream is byte-
-// identical to a crash-free run. -resume=false restores the legacy
-// behaviour (interrupted jobs report failed, their partial results
-// still streamable).
+// identical to a crash-free run. A job that cannot resume (its spool's
+// line count is unreadable, or an older release wrote it) recovers as
+// failed, its partial results still streamable.
 //
 // The daemon always serves Prometheus metrics at GET /metrics on the
 // main listener. -debug-addr additionally opens a second listener —
@@ -59,7 +59,6 @@ func main() {
 		dataDir     = flag.String("data-dir", "", "spool job manifests and results here; empty = in-memory (jobs die with the process)")
 		retainJobs  = flag.Int("retain-jobs", 0, "finished jobs kept before the oldest are evicted (0 = unlimited)")
 		retainBytes = flag.Int64("retain-bytes", 0, "total spooled result bytes kept before the oldest finished jobs are evicted (0 = unlimited)")
-		resume      = flag.Bool("resume", true, "complete crash-interrupted jobs on startup by re-running only their missing device suffix; false recovers them as failed with partial results")
 		logLevel    = flag.String("log-level", "info", "log verbosity: debug, info, warn or error")
 		logFormat   = flag.String("log-format", "text", "log encoding: text (key=value) or json")
 		debugAddr   = flag.String("debug-addr", "", "optional second listener with /debug/pprof/ and /metrics; bind to loopback")
@@ -80,9 +79,8 @@ func main() {
 	cfg := service.Config{
 		Jobs: *jobs, Queue: *queue, FleetWorkers: *workers,
 		RetainJobs: *retainJobs, RetainBytes: *retainBytes,
-		NoResume: !*resume,
-		Metrics:  reg,
-		Logger:   log,
+		Metrics: reg,
+		Logger:  log,
 	}
 	if *dataDir != "" {
 		st, err := store.NewDisk(*dataDir)

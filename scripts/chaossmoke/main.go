@@ -127,7 +127,7 @@ func run() error {
 		"-backoff-initial", "25ms", "-backoff-max", "200ms",
 		"-probe-interval", "100ms", "-probe-backoff-max", "200ms",
 		"-quarantine-after", "2", "-rejoin-after", "2",
-		"-steal-threshold", "2", "-steal-interval", "100ms",
+		"-steal-threshold", "2",
 	)
 	if err != nil {
 		return fmt.Errorf("starting memtest-coord: %w", err)

@@ -50,7 +50,6 @@ func TestCoordChaosDifferential(t *testing.T) {
 		MinShard: 5, Backoff: fastBackoff(),
 		ProbeInterval:  10 * time.Millisecond,
 		StealThreshold: 2,
-		StealInterval:  10 * time.Millisecond,
 	})
 	st, err := cc.Submit(context.Background(), req)
 	if err != nil {

@@ -37,12 +37,10 @@ import (
 
 // Config sizes a Coordinator.
 type Config struct {
-	// Workers seeds the worker membership table, as base URLs. Workers
-	// must have crash resume enabled with ordered delivery; New refuses
-	// any reachable worker that does not. The set is mutable at runtime
-	// via AddWorker / RemoveWorker (the POST/DELETE /v1/workers
-	// routes), so an empty seed is allowed — jobs just fail to dispatch
-	// until a worker joins.
+	// Workers seeds the worker membership table, as base URLs. The set
+	// is mutable at runtime via AddWorker / RemoveWorker (the
+	// POST/DELETE /v1/workers routes), so an empty seed is allowed —
+	// jobs just fail to dispatch until a worker joins.
 	Workers []string
 	// HTTP overrides the http.Client used for every worker call; nil
 	// selects http.DefaultClient.
@@ -79,14 +77,12 @@ type Config struct {
 	RejoinAfter int
 	// StealThreshold enables straggler work-stealing when positive: a
 	// shard whose unmerged remainder exceeds StealThreshold times the
-	// fleet's median shard remainder — with an idle capable worker
+	// fleet's median shard remainder — with an idle active worker
 	// available — has that remainder re-split via the shard planner and
 	// dispatched as new ordered range jobs, the superseded worker job
-	// cancelled. Zero disables stealing.
+	// cancelled. The monitor sizes up a running job's shards once a
+	// second. Zero disables stealing.
 	StealThreshold float64
-	// StealInterval is how often the steal monitor sizes up a running
-	// job's shards (default 1s).
-	StealInterval time.Duration
 	// Store persists the coordinator's own manifests and merged spools.
 	// Nil selects in-memory (jobs die with the process); a disk store
 	// makes coordinated jobs survive coordinator restarts.
@@ -104,9 +100,6 @@ type Config struct {
 	// shard dispatched / re-dispatched, finished) with job= and shard=
 	// context. Nil discards them.
 	Logger *slog.Logger
-	// NoResume disables coordinator restart resume: interrupted jobs
-	// recover as failed with their merged prefix streamable.
-	NoResume bool
 }
 
 // withDefaults fills the coordinator's own defaults; the job table
@@ -136,9 +129,6 @@ func (c Config) withDefaults() Config {
 	if c.RejoinAfter <= 0 {
 		c.RejoinAfter = 2
 	}
-	if c.StealInterval <= 0 {
-		c.StealInterval = time.Second
-	}
 	return c
 }
 
@@ -156,6 +146,9 @@ type Coordinator struct {
 	log         *slog.Logger
 	meter       obs.Meter
 	streamStats client.StreamStats
+	// stealRounds is the steal monitor's tick source: it calls round
+	// once per tick until ctx ends. New sets stealEvery.
+	stealRounds func(ctx context.Context, round func())
 	// ctx scopes the prober and worker joins; Close cancels it.
 	ctx    context.Context
 	stop   context.CancelFunc
@@ -164,12 +157,15 @@ type Coordinator struct {
 
 // New seeds and sweeps the worker membership table, recovers any
 // stored jobs, and starts the merge workers plus the background
-// prober that owns worker health from here on. Reachable workers that
-// are not shard-capable (crash resume disabled) are refused outright;
-// unreachable ones are tolerated — the prober keeps re-probing them
-// with backoff. Call Close to stop the coordinator and release the
-// store.
+// prober that owns worker health from here on. Unreachable workers are
+// tolerated — the prober keeps re-probing them with backoff. Call
+// Close to stop the coordinator and release the store.
 func New(cfg Config) (*Coordinator, error) {
+	return newCoordinator(cfg, stealEvery)
+}
+
+// newCoordinator is New with the steal monitor's tick source supplied.
+func newCoordinator(cfg Config, stealRounds func(ctx context.Context, round func())) (*Coordinator, error) {
 	cfg = cfg.withDefaults()
 	log := cfg.Logger
 	if log == nil {
@@ -177,21 +173,19 @@ func New(cfg Config) (*Coordinator, error) {
 	}
 	ctx, stop := context.WithCancel(context.Background())
 	c := &Coordinator{
-		cfg:     cfg,
-		reg:     newRegistry(cfg.Workers, cfg.HTTP, cfg),
-		metrics: newCoordMetrics(cfg.Metrics),
-		log:     log,
-		ctx:     ctx,
-		stop:    stop,
+		cfg:         cfg,
+		reg:         newRegistry(cfg.Workers, cfg.HTTP, cfg),
+		metrics:     newCoordMetrics(cfg.Metrics),
+		log:         log,
+		stealRounds: stealRounds,
+		ctx:         ctx,
+		stop:        stop,
 	}
-	if err := c.reg.sweep(ctx); err != nil {
-		stop()
-		return nil, err
-	}
+	c.reg.sweep(ctx)
 	t, err := service.NewJobTable(service.Config{
 		Jobs: cfg.Jobs, Queue: cfg.Queue, Store: cfg.Store,
 		RetainJobs: cfg.RetainJobs, RetainBytes: cfg.RetainBytes,
-		Metrics: cfg.Metrics, Logger: log, NoResume: cfg.NoResume,
+		Metrics: cfg.Metrics, Logger: log,
 	}, service.JobHooks{Metrics: c.metrics.job, Run: c.run, Plan: c.plan})
 	if err != nil {
 		stop()
@@ -251,7 +245,7 @@ func (c *Coordinator) AddWorker(rawURL string) (service.WorkerHealth, error) {
 	w, fresh := c.reg.add(u)
 	if fresh {
 		c.registerWorkerGauges(w)
-		c.reg.probeOne(c.ctx, w) //nolint:errcheck // the view below reports the outcome
+		c.reg.probeOne(c.ctx, w)
 		v := w.view(time.Now())
 		c.log.Info("worker joined", "worker", u, "state", v.State, "error", v.Error)
 		return v, nil
@@ -314,7 +308,7 @@ func (c *Coordinator) run(ctx context.Context, sj *service.Job, start func(worke
 	if c.cfg.StealThreshold > 0 {
 		// The steal monitor lives exactly as long as this run: the run
 		// context is cancelled once the job ends.
-		go c.stealMonitor(ctx, j)
+		go c.stealRounds(ctx, func() { c.maybeSteal(ctx, j) })
 	}
 	err := c.merge(ctx, j)
 	if err != nil {
@@ -323,7 +317,7 @@ func (c *Coordinator) run(ctx context.Context, sj *service.Job, start func(worke
 	return err
 }
 
-// Diagnose forwards the one-shot to a capable worker: the coordinator
+// Diagnose forwards the one-shot to an active worker: the coordinator
 // never diagnoses in-process, so /v1/diagnose capacity is the fleet's.
 func (c *Coordinator) Diagnose(ctx context.Context, req service.JobRequest) (*memtest.Result, error) {
 	if _, err := req.Resolve(); err != nil {
@@ -331,7 +325,7 @@ func (c *Coordinator) Diagnose(ctx context.Context, req service.JobRequest) (*me
 	}
 	w, err := c.reg.pick(nil, "")
 	if err != nil {
-		return nil, fmt.Errorf("%w: no capable worker: %v", service.ErrShuttingDown, err)
+		return nil, fmt.Errorf("%w: no active worker: %v", service.ErrShuttingDown, err)
 	}
 	res, err := w.cli.Diagnose(ctx, req)
 	if err != nil {

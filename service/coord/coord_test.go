@@ -239,18 +239,6 @@ func TestCoordShardSeamMidBatch(t *testing.T) {
 	}
 }
 
-// TestCoordRefusesIncapableWorker: a reachable worker with crash
-// resume disabled is refused at startup — its spool would not survive
-// a worker restart as a byte-identical prefix.
-func TestCoordRefusesIncapableWorker(t *testing.T) {
-	good := newWorker(t, service.Config{})
-	bad := newWorker(t, service.Config{NoResume: true})
-	_, err := coord.New(coord.Config{Workers: []string{good.URL, bad.URL}})
-	if err == nil || !strings.Contains(err.Error(), "resume disabled") {
-		t.Fatalf("New = %v, want resume-disabled refusal", err)
-	}
-}
-
 // killSwitch wraps a worker server: after `lines` result lines have
 // been served it cuts the stream and answers every later request with
 // 503 — a deterministic stand-in for a worker dying mid-shard.
@@ -473,9 +461,10 @@ func TestCoordHealthReportsFleet(t *testing.T) {
 	}
 }
 
-// stallWorker is a fake memtestd that passes the capability probe,
-// accepts every submission and then streams nothing — a shard parked
-// forever, so cancellation ordering is deterministic.
+// stallWorker is a fake memtestd that advertises one busy fleet
+// worker, accepts every submission and then streams nothing — a shard
+// parked forever, so cancellation ordering and steals of an undrained
+// shard are deterministic.
 type stallWorker struct {
 	streaming chan struct{} // closed when the first results stream attaches
 
@@ -487,7 +476,7 @@ type stallWorker struct {
 func (s *stallWorker) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	switch {
 	case r.URL.Path == "/v1/healthz":
-		json.NewEncoder(w).Encode(service.Health{Resume: true})
+		json.NewEncoder(w).Encode(service.Health{Resume: true, FleetWorkers: 1})
 	case r.Method == http.MethodPost && r.URL.Path == "/v1/jobs":
 		json.NewEncoder(w).Encode(service.JobStatus{ID: "stall-1", State: service.StateRunning})
 	case r.Method == http.MethodDelete:

@@ -162,9 +162,11 @@ func (c *Coordinator) shardRequest(j *job, lo, hi int) service.JobRequest {
 // with offset), so a worker restart mid-shard heals invisibly; a
 // stream that still fails — reconnect budget exhausted, the worker job
 // lost or failed, a clean end short of the range — re-dispatches the
-// missing remainder [Lo+Merged, Hi) to another capable worker, up to
-// the configured re-dispatch budget. The shard's Hi can shrink under a
-// running stream when the steal monitor re-splits the remainder, so
+// missing remainder [Lo+Merged, Hi) to another active worker, up to
+// the configured re-dispatch budget. Shard i can change under a
+// running stream when the steal monitor re-splits the remainder: its
+// Hi shrinks to the merge point or, when it merged nothing, the first
+// stolen piece (which starts at the same device) takes its place. So
 // every append is bounds-checked atomically (job.appendShard) and the
 // shard is re-read after every stream end before any failure handling.
 func (c *Coordinator) drainShard(ctx context.Context, j *job, i int) error {

@@ -90,7 +90,7 @@ func (c *Coordinator) registerWorkerGauges(w *worker) {
 	if reg == nil {
 		return
 	}
-	reg.GaugeFunc("coord_worker_up", "1 when the worker is active: last probe reachable, shard-capable and not quarantined.", func() float64 {
+	reg.GaugeFunc("coord_worker_up", "1 when the worker is active: last probe reachable and not quarantined.", func() float64 {
 		w.mu.Lock()
 		defer w.mu.Unlock()
 		if w.state == stateActive {

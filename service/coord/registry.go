@@ -18,17 +18,15 @@ import (
 const (
 	// stateUnknown: joined but never probed (the prober is about to).
 	stateUnknown = "unknown"
-	// stateActive: the last probe found the worker reachable and
-	// shard-capable.
+	// stateActive: the last probe found the worker reachable.
 	stateActive = "active"
 	// stateDown: the last probe failed; the prober retries with
 	// per-worker exponential backoff, and one clean probe rejoins.
 	stateDown = "down"
 	// stateQuarantined: the worker flapped (repeated active->down
-	// transitions), failed too many probes in a row, or is reachable
-	// but shard-incapable. It needs rejoinAfter consecutive clean
-	// probes to return to active — the hysteresis that keeps a flapping
-	// worker from bouncing shards.
+	// transitions) or failed too many probes in a row. It needs
+	// rejoinAfter consecutive clean probes to return to active — the
+	// hysteresis that keeps a flapping worker from bouncing shards.
 	stateQuarantined = "quarantined"
 )
 
@@ -42,7 +40,6 @@ type worker struct {
 	mu        sync.Mutex
 	state     string
 	probed    bool
-	reachable bool
 	lastErr   string
 	health    service.Health // last successful probe
 	lastProbe time.Time      // when the last probe completed
@@ -191,30 +188,21 @@ func (r *registry) probeDelay(strikes int) time.Duration {
 }
 
 // probeOne fetches the worker's /v1/healthz once and advances its
-// membership state machine. A reachable worker must be shard-capable —
-// crash resume enabled — or it is quarantined: a shard parked on a
-// resume-disabled worker would not survive a worker restart as a
-// byte-identical prefix. The returned error describes why the worker
-// is not active (nil when it is).
-func (r *registry) probeOne(ctx context.Context, w *worker) error {
+// membership state machine.
+func (r *registry) probeOne(ctx context.Context, w *worker) {
 	pctx, cancel := context.WithTimeout(ctx, r.probeTimeout)
 	h, err := w.cli.Health(pctx)
 	cancel()
-	capErr := ""
-	if err == nil && !h.Resume {
-		capErr = "worker has crash resume disabled (-resume=false)"
-	}
 	now := r.now()
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	w.probed = true
 	w.lastProbe = now
-	switch {
-	case err != nil:
+	if err != nil {
 		if w.state == stateActive {
 			w.flaps++
 		}
-		w.reachable, w.lastErr = false, err.Error()
+		w.lastErr = err.Error()
 		w.clean = 0
 		w.strikes++
 		if w.state != stateQuarantined {
@@ -224,15 +212,8 @@ func (r *registry) probeOne(ctx context.Context, w *worker) error {
 				w.state = stateDown
 			}
 		}
-	case capErr != "":
-		// Reachable but shard-incapable: quarantine immediately, no
-		// strike budget — capability is configuration, not weather.
-		w.reachable, w.lastErr = true, capErr
-		w.clean = 0
-		w.strikes++
-		w.state = stateQuarantined
-	default:
-		w.reachable, w.health, w.lastErr = true, h, ""
+	} else {
+		w.health, w.lastErr = h, ""
 		w.strikes = 0
 		w.clean++
 		if w.state == stateQuarantined {
@@ -247,10 +228,6 @@ func (r *registry) probeOne(ctx context.Context, w *worker) error {
 		}
 	}
 	w.nextProbe = now.Add(r.probeDelay(w.strikes))
-	if w.state != stateActive {
-		return fmt.Errorf("coord: worker %s %s: %s", w.url, w.state, w.lastErr)
-	}
-	return nil
 }
 
 // prober owns worker health: it re-probes every member on its due
@@ -304,7 +281,7 @@ func (r *registry) probeDue(ctx context.Context) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			r.probeOne(ctx, w) //nolint:errcheck // the state machine recorded the outcome
+			r.probeOne(ctx, w)
 		}()
 	}
 	wg.Wait()
@@ -357,33 +334,19 @@ func (r *registry) pick(refused map[string]bool, soft string) (*worker, error) {
 	return nil, lastErr
 }
 
-// sweep probes every member concurrently and fails when any worker is
-// reachable but not shard-capable — the fail-fast startup refusal of
-// resume-disabled workers. Workers that are merely down are tolerated:
-// they may come up later, and the prober keeps trying.
-func (r *registry) sweep(ctx context.Context) error {
-	ws := r.list()
+// sweep probes every member once, concurrently, so the first dispatch
+// reads a real state. Workers that are down are tolerated: they may
+// come up later, and the prober keeps trying.
+func (r *registry) sweep(ctx context.Context) {
 	var wg sync.WaitGroup
-	for _, w := range ws {
+	for _, w := range r.list() {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			r.probeOne(ctx, w) //nolint:errcheck // the refusal is inspected below
+			r.probeOne(ctx, w)
 		}()
 	}
 	wg.Wait()
-	var bad []string
-	for _, w := range ws {
-		w.mu.Lock()
-		if w.reachable && w.state != stateActive {
-			bad = append(bad, fmt.Sprintf("%s: %s", w.url, w.lastErr))
-		}
-		w.mu.Unlock()
-	}
-	if len(bad) > 0 {
-		return fmt.Errorf("coord: refusing shard-incapable workers: %s", strings.Join(bad, "; "))
-	}
-	return nil
 }
 
 // snapshot returns the cached fleet view plus the summed capacity of

@@ -8,21 +8,26 @@ import (
 	"repro/service"
 )
 
-// stealMonitor watches one running job's shards and re-splits a
-// straggler's unstarted remainder across idle workers. It runs for
-// exactly the job's run (ctx is the run context) and only ever takes
-// work that provably has not been merged: the commit re-checks the
-// shard under the job lock, so a remainder that moved while the steal
-// was being planned is left alone.
-func (c *Coordinator) stealMonitor(ctx context.Context, j *job) {
-	t := time.NewTicker(c.cfg.StealInterval)
+// stealInterval is the steal monitor's cadence: how often it sizes up
+// a running job's shards.
+const stealInterval = time.Second
+
+// stealEvery is the steal monitor's tick source: it runs one steal
+// round per stealInterval until ctx ends. A job's run starts it with a
+// round bound to that job (ctx is the run context), so the monitor
+// lives exactly as long as the run. A round only ever takes work that
+// provably has not been merged: the commit re-checks the shard under
+// the job lock, so a remainder that moved while the steal was being
+// planned is left alone.
+func stealEvery(ctx context.Context, round func()) {
+	t := time.NewTicker(stealInterval)
 	defer t.Stop()
 	for {
 		select {
 		case <-ctx.Done():
 			return
 		case <-t.C:
-			c.maybeSteal(ctx, j)
+			round()
 		}
 	}
 }
@@ -64,10 +69,12 @@ func (c *Coordinator) shardRemainders(ctx context.Context, shards []service.Shar
 // maybeSteal runs one steal round: find the straggler, and if its
 // remainder dwarfs the fleet median while idle capacity sits unused,
 // re-split that remainder via the shard planner, dispatch the pieces as
-// new ordered range jobs, shrink the straggler's shard to its merge
-// point and cancel the superseded worker job. Absolute-index seeding
-// keeps the merged stream byte-identical: the stolen shards produce
-// exactly the lines the straggler would have.
+// new ordered range jobs, and cancel the superseded worker job. A
+// straggler that has merged lines shrinks to its merge point; one that
+// has merged none is replaced by the pieces outright, so the table
+// never holds an empty shard. Absolute-index seeding keeps the merged
+// stream byte-identical: the stolen shards produce exactly the lines
+// the straggler would have.
 func (c *Coordinator) maybeSteal(ctx context.Context, j *job) {
 	j.Lock()
 	if j.Status.State != service.StateRunning {
@@ -138,9 +145,13 @@ func (c *Coordinator) maybeSteal(ctx context.Context, j *job) {
 	if j.Status.State == service.StateRunning && vi < len(j.Status.Shards) {
 		v := &j.Status.Shards[vi]
 		if v.Hi == victim.Hi && v.JobID == victim.JobID && v.Lo+v.Merged == cut {
-			v.Hi = cut // the victim shard is now complete at its merge point
+			keep := vi // nothing merged: the stolen pieces replace the victim
+			if cut > v.Lo {
+				v.Hi = cut // the victim shard is now complete at its merge point
+				keep++
+			}
 			tail := append(stolen, j.Status.Shards[vi+1:]...)
-			j.Status.Shards = append(j.Status.Shards[:vi+1], tail...)
+			j.Status.Shards = append(j.Status.Shards[:keep], tail...)
 			j.Status.Steals++
 			j.Persist() //nolint:errcheck // the next persist (or recovery's rebase) repairs a missed write
 			committed = true

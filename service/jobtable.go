@@ -204,8 +204,8 @@ type JobTable struct {
 // NewJobTable recovers the stored jobs into a new table and applies the
 // retention caps; Start then launches the scheduler workers and Close
 // stops them and releases the store. It reads Jobs, Queue, Store,
-// RetainJobs, RetainBytes, Metrics, Logger and NoResume from cfg, with
-// the Config defaults.
+// RetainJobs, RetainBytes, Metrics and Logger from cfg, with the Config
+// defaults.
 func NewJobTable(cfg Config, hooks JobHooks) (*JobTable, error) {
 	cfg = cfg.withDefaults()
 	st := cfg.Store
@@ -256,9 +256,10 @@ func (t *JobTable) Start() {
 // counter resumes past the highest recovered ID so new jobs never
 // collide with stored ones. Finished jobs replay byte-identically. A
 // job the previous process died with is re-enqueued as resuming when
-// resume is enabled and its request allows it — the run re-does only
-// the missing device suffix — and otherwise recovers as failed with its
-// spooled prefix still streamable.
+// its request allows it (see resumable) — the run re-does only the
+// missing device suffix — and otherwise, or when the spool's line count
+// is unreadable, recovers as failed with its spooled prefix still
+// streamable.
 func (t *JobTable) recover() error {
 	ids, err := t.store.Jobs()
 	if err != nil {
@@ -304,7 +305,7 @@ func (t *JobTable) recover() error {
 				// whatever prefix is actually intact. Completed keeps
 				// the manifest's last persisted value.
 				st.Error = fmt.Sprintf("interrupted by server restart; result spool unreadable: %v", linesErr)
-			case !t.cfg.NoResume && mf.Request != nil && mf.Request.Devices > 0 && t.resumable(*mf.Request):
+			case mf.Request != nil && mf.Request.Devices > 0 && t.resumable(*mf.Request):
 				// Re-enqueue: the per-device seeds derive from (job
 				// seed, device index), so the missing suffix [K, N) is
 				// exactly reproducible — the resumed stream is byte-
@@ -709,22 +710,20 @@ func (t *JobTable) enforceRetention() {
 }
 
 // Health reports the lifecycle half of /v1/healthz — capacity, load,
-// recovery activity, uptime and resume capability — for the daemon to
-// extend.
+// recovery activity, uptime and capability — for the daemon to extend.
 func (t *JobTable) Health() Health {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	h := Health{
+	return Health{
 		Jobs: t.cfg.Jobs, Queue: t.cfg.Queue,
 		QueuedJobs: len(t.backlog), RunningJobs: t.running,
 		JobsRecovered: t.jobsRecovered,
 		JobsResumed:   t.jobsResumed,
 		UptimeSec:     time.Since(t.started).Seconds(),
 		Version:       obs.Version(),
+		Resume:        true,
 		Durable:       t.store.Durable(),
 	}
-	h.Resume = !t.cfg.NoResume
-	return h
 }
 
 // Close stops accepting submissions, cancels every running job, waits

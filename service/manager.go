@@ -71,7 +71,10 @@ type Config struct {
 	// Store persists job manifests and result spools. Nil selects an
 	// in-memory store: jobs die with the process, exactly the pre-
 	// persistence behaviour. With a disk store (store.NewDisk), jobs
-	// survive restarts — NewManager recovers the directory on startup.
+	// survive restarts — NewManager recovers the directory on startup,
+	// and a job the previous process died with resumes: only its missing
+	// device suffix re-runs, so the final stream is byte-identical to a
+	// crash-free run.
 	Store store.Store
 	// RetainJobs caps how many finished (done, failed or cancelled)
 	// jobs are kept; the oldest are evicted — removed from the job
@@ -92,14 +95,6 @@ type Config struct {
 	// started, finished, resumed, evicted) with job= context. Nil
 	// discards them.
 	Logger *slog.Logger
-	// NoResume disables crash resume. By default a recovered job whose
-	// manifest says queued or running re-enqueues as resuming: the
-	// scheduler counts the spooled complete lines and re-runs only the
-	// missing device suffix, so the final stream is byte-identical to a
-	// crash-free run. With NoResume (the daemon's -resume=false), every
-	// interrupted job recovers as failed with its partial results
-	// retained — the pre-resume behaviour.
-	NoResume bool
 }
 
 func (c Config) withDefaults() Config {
@@ -279,9 +274,9 @@ func (m *Manager) run(ctx context.Context, j *Job, start func(workers int) bool)
 	})
 }
 
-// Health reports configured capacity, current load and resume
-// capability — the capability fields are what memtest-coord inspects
-// before trusting a worker with a shard.
+// Health reports configured capacity, current load and capability;
+// memtest-coord sizes shards and picks steal targets from its pool
+// counts.
 func (m *Manager) Health() Health {
 	h := m.JobTable.Health()
 	m.mu.Lock()

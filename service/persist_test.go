@@ -39,18 +39,19 @@ func diskServer(t *testing.T, dir string, cfg service.Config) (*client.Client, *
 	return client.New(ts.URL, ts.Client()), m, ts
 }
 
-// TestRestartRecovery pins the legacy (-resume=false) recovery
-// contract: a manager is killed mid-job (no Close — its store never
-// learns), the data directory is reopened by a fresh manager with
-// resume disabled, and
+// TestRestartRecovery pins the disk recovery contract: a manager is
+// killed mid-job (no Close — its store never learns), the data
+// directory is reopened by a fresh manager, and
 //
 //   - the job that had finished re-streams its results byte-identical
 //     to an in-process run,
-//   - the job that was running at crash time reports failed with its
-//     partial spool still streamable,
+//   - the job that was running at crash time resumes from its spooled
+//     prefix and finishes done, byte-identical to a crash-free run,
 //   - new submissions get fresh IDs past the recovered ones.
 //
-// The default resume path is covered by resume_test.go.
+// The failed-with-partials recovery of a job that cannot resume is
+// pinned by TestUnorderedJobNeverResumes and
+// TestSpoolIndexFaultDegradesToFailed.
 func TestRestartRecovery(t *testing.T) {
 	dir := t.TempDir()
 	stA, err := store.NewDisk(dir)
@@ -89,7 +90,8 @@ func TestRestartRecovery(t *testing.T) {
 	// Job 2 is mid-flight: a blocking engine lets exactly 2 of its 5
 	// devices finish, then parks.
 	e := newBlockEngine(t, "block-crash")
-	runSt, err := c1.Submit(ctx, service.JobRequest{Plan: testPlan(), Devices: 5, Scheme: e.name})
+	runReq := service.JobRequest{Plan: testPlan(), Devices: 5, Scheme: e.name}
+	runSt, err := c1.Submit(ctx, runReq)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,10 +122,8 @@ func TestRestartRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// "Restart": a second store + manager over the same directory, with
-	// crash resume switched off (the -resume=false operator escape
-	// hatch) so the interrupted job must degrade to failed-with-partials.
-	c2, m2, ts2 := diskServer(t, dir, service.Config{Jobs: 2, Queue: 8, NoResume: true})
+	// "Restart": a second store + manager over the same directory.
+	c2, m2, ts2 := diskServer(t, dir, service.Config{Jobs: 2, Queue: 8})
 	defer func() { ts2.Close(); m2.Close() }()
 
 	// The finished job recovered: done, and its replay is byte-
@@ -146,32 +146,30 @@ func TestRestartRecovery(t *testing.T) {
 		}
 	}
 
-	// The interrupted job recovered as failed, partial results intact.
-	broken, err := c2.Job(ctx, runSt.ID)
+	// The interrupted job resumes from its two spooled devices. Once the
+	// engine lets the rest through, it finishes done, and its stream is
+	// byte-identical to a crash-free run.
+	resuming, err := c2.Job(ctx, runSt.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if broken.State != service.StateFailed || !broken.Recovered {
-		t.Fatalf("interrupted job = %+v, want recovered+failed", broken)
+	if !resuming.Recovered || !resuming.Resumed || resuming.ResumedFrom != 2 {
+		t.Fatalf("interrupted job = %+v, want recovered+resumed from device 2", resuming)
 	}
-	if broken.Completed != 2 {
-		t.Fatalf("interrupted job retained %d results, want 2", broken.Completed)
+	close(e.release)
+	resumed := waitState(t, c2, runSt.ID, service.StateDone)
+	if resumed.Completed != 5 {
+		t.Fatalf("resumed job completed %d devices, want 5", resumed.Completed)
 	}
-	if !strings.Contains(broken.Error, "interrupted by server restart") {
-		t.Fatalf("interrupted job error = %q", broken.Error)
+	got = rawStream(t, ts2, runSt.ID)
+	want = localLines(t, runReq)
+	if len(got) != len(want) {
+		t.Fatalf("resumed stream has %d lines, want %d", len(got), len(want))
 	}
-	partial := rawStream(t, ts2, runSt.ID)
-	// The spooled prefix streams, then the terminal error line.
-	if len(partial) != 3 {
-		t.Fatalf("partial stream = %d lines, want 2 results + 1 error", len(partial))
-	}
-	for _, line := range partial[:2] {
-		if !strings.Contains(line, `"device"`) || strings.Contains(line, `"error"`) {
-			t.Fatalf("partial line is not a device result: %s", line)
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("resumed line %d differs:\nresumed: %s\nlocal  : %s", i, got[i], want[i])
 		}
-	}
-	if !strings.Contains(partial[2], "interrupted by server restart") {
-		t.Fatalf("terminal line = %s", partial[2])
 	}
 
 	// Both recovered jobs appear in the listing, oldest first, and a

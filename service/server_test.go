@@ -513,14 +513,31 @@ func TestBadRequests(t *testing.T) {
 	}
 }
 
+// TestHealthAndSchemes pins /v1/healthz and /v1/schemes. The raw
+// healthz body must carry "resume": true: crash resume is always on,
+// and older memtest-coord releases quarantine a worker that reports it
+// false or leaves it out.
 func TestHealthAndSchemes(t *testing.T) {
-	c, _, _ := newTestServer(t, service.Config{Jobs: 3, Queue: 5})
+	c, _, ts := newTestServer(t, service.Config{Jobs: 3, Queue: 5})
 	h, err := c.Health(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if h.Jobs != 3 || h.Queue != 5 {
 		t.Fatalf("health = %+v", h)
+	}
+	resp, err := ts.Client().Get(ts.URL + "/v1/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var raw map[string]any
+	err = json.NewDecoder(resp.Body).Decode(&raw)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if raw["resume"] != true {
+		t.Fatalf(`healthz "resume" = %v, want true`, raw["resume"])
 	}
 	schemes, err := c.Schemes(context.Background())
 	if err != nil {

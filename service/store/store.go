@@ -105,7 +105,6 @@ type Store interface {
 	// used afterwards.
 	Close() error
 	// Durable reports whether spools survive process restarts — the
-	// capability /v1/healthz reports and memtest-coord requires of its
-	// workers.
+	// capability /v1/healthz reports as "durable".
 	Durable() bool
 }

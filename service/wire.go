@@ -157,8 +157,8 @@ type JobStatus struct {
 	// or running at crash time resumes (Resumed below); one whose
 	// manifest does not record ordered delivery (an unordered job
 	// spooled by an older release, whose spool is not a device prefix)
-	// or any interrupted job with resume disabled reports failed, with
-	// the device results spooled before the crash still streamable.
+	// reports failed, with the device results spooled before the crash
+	// still streamable.
 	Recovered bool `json:"recovered,omitempty"`
 	// Resumed marks a job whose crash-interrupted run was completed by
 	// re-running only the missing device suffix; ResumedFrom is the
@@ -269,12 +269,11 @@ type Health struct {
 	UptimeSec     float64 `json:"uptime_sec"`
 	Version       string  `json:"version,omitempty"`
 	DevicesPerSec float64 `json:"devices_per_sec"`
-	// Capability, not load: Resume reports whether crash resume is
-	// enabled (-resume, the default), and Durable whether the job store
-	// survives restarts (a -data-dir disk store). memtest-coord refuses
-	// workers that do not report Resume — a shard parked on a
-	// resume-disabled worker would lose its spool on the first worker
-	// restart.
+	// Capability, not load: Durable reports whether the job store
+	// survives restarts (a -data-dir disk store). Resume is always true:
+	// crash resume can no longer be turned off, but the field stays on
+	// the wire because older memtest-coord releases quarantine any
+	// worker whose healthz reports it false (or leaves it out).
 	Resume  bool `json:"resume"`
 	Durable bool `json:"durable"`
 	// Workers, on a memtest-coord /v1/healthz, is the per-worker view
@@ -290,14 +289,14 @@ type Health struct {
 type WorkerHealth struct {
 	// URL is the worker's base URL.
 	URL string `json:"url"`
-	// Healthy reports whether the last probe succeeded and the worker
-	// is shard-capable (resume enabled, ordered delivery); Error holds
-	// the probe failure or the capability the worker lacks.
+	// Healthy reports whether the worker is active: its last probe
+	// succeeded and it is not quarantined. Error holds the last probe
+	// failure.
 	Healthy bool   `json:"healthy"`
 	Error   string `json:"error,omitempty"`
 	// State is the prober's membership state: "active" (dispatchable),
 	// "down" (recent probe failed; re-probed with backoff),
-	// "quarantined" (flapping or shard-incapable; needs consecutive
+	// "quarantined" (flapping or failing probes; needs consecutive
 	// clean probes to rejoin) or "unknown" (never probed).
 	State string `json:"state,omitempty"`
 	// ProbeAgeSec is seconds since the worker's last completed health
