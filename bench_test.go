@@ -10,6 +10,7 @@ package repro_test
 import (
 	"context"
 	"fmt"
+	"net/http/httptest"
 	"os"
 	"sync"
 	"testing"
@@ -27,6 +28,7 @@ import (
 	"repro/internal/timing"
 	"repro/memtest"
 	"repro/service"
+	"repro/service/client"
 )
 
 var onceTables sync.Map
@@ -680,6 +682,73 @@ func BenchmarkServiceStreamBatch(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(streamDevices)*float64(b.N)/b.Elapsed().Seconds(), "devices/sec")
+}
+
+// BenchmarkServiceStreamHTTP is BenchmarkServiceStreamBatch across
+// HTTP: one op is one 4,096-device hetero job submitted to a memtestd
+// on an httptest server and read to its end through the Go client —
+// decoded into DeviceResults by client.Results, or validated and
+// passed through as raw lines by client.RawResults, as memtest-coord
+// reads its workers. Its allocs/op count both ends of the connection,
+// so divided by 4,096 they are the served path's allocations per
+// device. Finished jobs beyond the last are evicted, so the memory
+// store holds at most two.
+func BenchmarkServiceStreamHTTP(b *testing.B) {
+	const streamDevices = 4096
+	m, err := service.NewManager(service.Config{Jobs: 1, Queue: 2, RetainJobs: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer m.Close()
+	ts := httptest.NewServer(service.NewServer(m))
+	defer ts.Close()
+	c := client.New(ts.URL, ts.Client())
+	req := service.JobRequest{Plan: memtest.HeterogeneousExample(), Devices: streamDevices, Seed: 7}
+	for _, bc := range []struct {
+		name   string
+		stream func(ctx context.Context, id string) (int, error)
+	}{
+		{"Results", func(ctx context.Context, id string) (int, error) {
+			n := 0
+			for _, err := range c.Results(ctx, id) {
+				if err != nil {
+					return n, err
+				}
+				n++
+			}
+			return n, nil
+		}},
+		{"RawResults", func(ctx context.Context, id string) (int, error) {
+			n := 0
+			for _, err := range c.RawResults(ctx, id) {
+				if err != nil {
+					return n, err
+				}
+				n++
+			}
+			return n, nil
+		}},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			ctx := context.Background()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				st, err := c.Submit(ctx, req)
+				if err != nil {
+					b.Fatal(err)
+				}
+				n, err := bc.stream(ctx, st.ID)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if n != streamDevices {
+					b.Fatalf("streamed %d lines, want %d", n, streamDevices)
+				}
+			}
+			b.ReportMetric(float64(streamDevices)*float64(b.N)/b.Elapsed().Seconds(), "devices/sec")
+		})
+	}
 }
 
 // BenchmarkProposedRunnerReuse is the steady-state form of E8: one

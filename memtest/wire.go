@@ -332,19 +332,27 @@ func appendString(b []byte, s string) []byte {
 // strings without escapes) is parsed directly in one pass; anything
 // else — whitespace, reordered or unknown keys, escapes, a torn line —
 // is handed to json.Unmarshal.
+//
+// The decoded value owns its storage. A canonical line costs one
+// allocation for its Result and Report, plus one exact-size slab per
+// element type (failure records, cells, memory reports, diagnoses):
+// every array is a window of its slab whose capacity ends at its own
+// last element, so appending to one never writes into its neighbour.
 func DecodeDeviceResult(line []byte, dr *DeviceResult) error {
 	sc := scratchPool.Get().(*decodeScratch)
-	d := lineDecoder{b: line, build: true, sc: sc}
-	var out DeviceResult
-	ok := d.deviceResult(&out) && d.i == len(line)
-	sc.reset()
+	out, ok := sc.decode(line)
 	scratchPool.Put(sc)
 	if ok {
 		*dr = out
 		return nil
 	}
-	*dr = DeviceResult{}
-	return json.Unmarshal(line, dr)
+	// The fallback decodes into its own value, so dr itself never
+	// reaches encoding/json and a caller's DeviceResult can stay on
+	// its stack.
+	var v DeviceResult
+	err := json.Unmarshal(line, &v)
+	*dr = v
+	return err
 }
 
 // SkimDeviceResult reports whether line is a well-formed DeviceResult
@@ -361,10 +369,11 @@ func SkimDeviceResult(line []byte) bool {
 
 // lineDecoder is the single-pass parser behind DecodeDeviceResult and
 // SkimDeviceResult. It accepts only the canonical layout and reports
-// false on the first deviation. In build mode it allocates the decoded
-// value, collecting array elements in pooled scratch and copying each
-// array out once at its exact size; in skim mode (build false) it runs
-// the same grammar and checks but builds nothing.
+// false on the first deviation. In build mode it collects array
+// elements on pooled scratch stacks and leaves each closed array as a
+// view of its stack, which decodeScratch.decode then moves into the
+// line's slabs; in skim mode (build false) it runs the same grammar
+// and checks but builds nothing.
 type lineDecoder struct {
 	b     []byte
 	i     int
@@ -374,7 +383,8 @@ type lineDecoder struct {
 
 // decodeScratch is one decoder's reusable element stacks. No array
 // type nests inside an array of its own type, so an array's elements
-// are always the tail of its stack when the array closes.
+// are always the tail of its stack when the array closes, and a line's
+// arrays of one type lie on their stack in the order they closed.
 type decodeScratch struct {
 	recs  []FailureRecord
 	cells []Cell
@@ -389,8 +399,64 @@ type decodeScratch struct {
 
 var scratchPool = sync.Pool{New: func() any { return new(decodeScratch) }}
 
-// reset empties the stacks, dropping the references a failed parse
-// left behind.
+// decode parses one canonical line in build mode and, when it is
+// accepted, settles the value's arrays into slabs. The stacks are left
+// empty either way.
+func (sc *decodeScratch) decode(line []byte) (DeviceResult, bool) {
+	d := lineDecoder{b: line, build: true, sc: sc}
+	var out DeviceResult
+	ok := d.deviceResult(&out) && d.i == len(line)
+	if ok && out.Result != nil {
+		sc.settle(out.Result)
+	}
+	sc.reset()
+	return out, ok
+}
+
+// settle copies each scratch stack once into an exact-size slab and
+// re-points every array of r, which the parse left as a view of its
+// stack, at the same elements in the slab. It walks r in the order the
+// parse closed the arrays, so one cursor per slab finds each array's
+// window. Word-repair map values are the exception: they are copied
+// out when they close (see wordRepairs) and are not on the stacks.
+func (sc *decodeScratch) settle(r *Result) {
+	recs, cells := slices.Clone(sc.recs), slices.Clone(sc.cells)
+	var atRec, atCell int
+	if rep := r.Report; rep != nil {
+		var atMem int
+		rep.Memories = carve(slices.Clone(sc.mems), &atMem, rep.Memories)
+		for i := range rep.Memories {
+			m := &rep.Memories[i]
+			m.Failures = carve(recs, &atRec, m.Failures)
+			m.Located = carve(cells, &atCell, m.Located)
+		}
+	}
+	var atDiag int
+	r.Memories = carve(slices.Clone(sc.diags), &atDiag, r.Memories)
+	for i := range r.Memories {
+		g := &r.Memories[i]
+		g.Located = carve(cells, &atCell, g.Located)
+		if a := g.Repair; a != nil {
+			a.CellRepairs = carve(cells, &atCell, a.CellRepairs)
+			a.Unrepaired = carve(cells, &atCell, a.Unrepaired)
+		}
+	}
+}
+
+// carve returns the slab window that replaces a settled array: the
+// next len(view) elements after *at, capped at its own end. Nil and
+// empty arrays are no window and are returned as they are.
+func carve[T any](slab []T, at *int, view []T) []T {
+	if len(view) == 0 {
+		return view
+	}
+	lo, hi := *at, *at+len(view)
+	*at = hi
+	return slab[lo:hi:hi]
+}
+
+// reset empties the stacks, dropping the references the parse left
+// behind.
 func (sc *decodeScratch) reset() {
 	clear(sc.mems)
 	clear(sc.diags)
@@ -416,13 +482,16 @@ func (sc *decodeScratch) intern(b []byte) string {
 // allocates.
 func ptrTo[T any](v T) *T { return &v }
 
-// takeTail moves one closed array — the elements above base — off the
-// scratch stack s into an exact-size slice.
-func takeTail[T any](s *[]T, base int) []T {
-	out := make([]T, len(*s)-base)
-	copy(out, (*s)[base:])
-	clear((*s)[base:])
-	*s = (*s)[:base]
+// tail is the closed array above base on the scratch stack s, left in
+// place as a view for decodeScratch.settle to move.
+func tail[T any](s []T, base int) []T { return s[base:len(s):len(s)] }
+
+// takeCells moves one closed cell array — the cells above base — off
+// the scratch stack into an exact-size slice.
+func (sc *decodeScratch) takeCells(base int) []Cell {
+	out := make([]Cell, len(sc.cells)-base)
+	copy(out, sc.cells[base:])
+	sc.cells = sc.cells[:base]
 	return out
 }
 
@@ -591,51 +660,62 @@ func (d *lineDecoder) str(dst *string) bool {
 	return false
 }
 
+// resultBlock is a decoded Result and its Report in one allocation.
+type resultBlock struct {
+	res Result
+	rep Report
+}
+
 func (d *lineDecoder) deviceResult(r *DeviceResult) bool {
 	if !(d.lit(`{"device":`) && d.num(&r.Device) && d.lit(`,"seed":`) && d.num64(&r.Seed) && d.lit(`,"result":`)) {
 		return false
 	}
 	if !d.lit("null") {
-		var res Result
-		if !d.result(&res) {
+		var blk resultBlock
+		hasReport, ok := d.result(&blk)
+		if !ok {
 			return false
 		}
 		if d.build {
-			r.Result = ptrTo(res)
+			h := ptrTo(blk)
+			if hasReport {
+				h.res.Report = &h.rep
+			}
+			r.Result = &h.res
 		}
 	}
 	return d.lit("}")
 }
 
-func (d *lineDecoder) result(r *Result) bool {
+// result parses a Result into blk.res and its report, when not null,
+// into blk.rep; it reports whether a report was present.
+func (d *lineDecoder) result(blk *resultBlock) (hasReport, ok bool) {
+	r := &blk.res
 	if !(d.lit(`{"engine":`) && d.str(&r.Engine) && d.lit(`,"scheme":`) && d.str(&r.Scheme) &&
 		d.lit(`,"plan":`) && d.str(&r.Plan) && d.lit(`,"report":`)) {
-		return false
+		return false, false
 	}
 	if !d.lit("null") {
-		var rep Report
-		if !d.report(&rep) {
-			return false
+		if !d.report(&blk.rep) {
+			return false, false
 		}
-		if d.build {
-			r.Report = ptrTo(rep)
-		}
+		hasReport = true
 	}
 	if !(d.lit(`,"memories":`) && d.diagnoses(&r.Memories)) {
-		return false
+		return false, false
 	}
 	if d.lit(`,"yield":`) && !d.lit("null") {
 		var y YieldStats
 		if !(d.lit(`{"memories":`) && d.num(&y.Memories) && d.lit(`,"repairable":`) && d.num(&y.Repairable) &&
 			d.lit(`,"total_located":`) && d.num(&y.TotalLocated) &&
 			d.lit(`,"total_unrepaired":`) && d.num(&y.TotalUnrepaired) && d.lit("}")) {
-			return false
+			return false, false
 		}
 		if d.build {
 			r.Yield = ptrTo(y)
 		}
 	}
-	return d.lit("}")
+	return hasReport, d.lit("}")
 }
 
 func (d *lineDecoder) report(r *Report) bool {
@@ -665,7 +745,7 @@ func (d *lineDecoder) report(r *Report) bool {
 		}
 	}
 	if items && d.build {
-		r.Memories = takeTail(&d.sc.mems, base)
+		r.Memories = tail(d.sc.mems, base)
 	}
 	return d.lit("}")
 }
@@ -700,7 +780,7 @@ func (d *lineDecoder) memoryReport(m *MemoryReport) bool {
 			}
 		}
 		if items && d.build {
-			m.Failures = takeTail(&d.sc.recs, base)
+			m.Failures = tail(d.sc.recs, base)
 		}
 	}
 	return d.lit(`,"located":`) && d.cells(&m.Located) && d.lit("}")
@@ -728,7 +808,7 @@ func (d *lineDecoder) cells(dst *[]Cell) bool {
 		}
 	}
 	if items && d.build {
-		*dst = takeTail(&d.sc.cells, base)
+		*dst = tail(d.sc.cells, base)
 	}
 	return true
 }
@@ -755,7 +835,7 @@ func (d *lineDecoder) diagnoses(dst *[]Diagnosis) bool {
 		}
 	}
 	if items && d.build {
-		*dst = takeTail(&d.sc.diags, base)
+		*dst = tail(d.sc.diags, base)
 	}
 	return true
 }
@@ -833,10 +913,19 @@ func (d *lineDecoder) wordRepairs(dst *map[int][]Cell) bool {
 	for {
 		var k int
 		var cs []Cell
+		var base int
+		if d.build {
+			base = len(d.sc.cells)
+		}
 		if !(d.lit(`"`) && d.num(&k) && d.lit(`":`) && d.cells(&cs)) {
 			return false
 		}
 		if d.build {
+			// A later duplicate key replaces this value, so the walk in
+			// settle could not find it by position: copy it out now.
+			if len(cs) > 0 {
+				cs = d.sc.takeCells(base)
+			}
 			m[k] = cs
 		}
 		switch {

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"runtime"
 	"testing"
 )
 
@@ -145,9 +146,7 @@ func checkDecode(t *testing.T, name string, line []byte) {
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("%s: DecodeDeviceResult differs from json.Unmarshal\nline %q", name, line)
 	}
-	d := lineDecoder{b: line, build: true, sc: new(decodeScratch)}
-	var fast DeviceResult
-	fastOK := d.deviceResult(&fast) && d.i == len(line)
+	fast, fastOK := new(decodeScratch).decode(line)
 	if skim := SkimDeviceResult(line); skim != fastOK {
 		t.Fatalf("%s: SkimDeviceResult = %v, fast decode accepted = %v\nline %q", name, skim, fastOK, line)
 	}
@@ -301,6 +300,95 @@ func TestWireCodecAllocations(t *testing.T) {
 		t.Errorf("DecodeDeviceResult: %v allocs, json.Unmarshal %v; want no more", fast, ref)
 	}
 	t.Logf("hetero line %d B: DecodeDeviceResult %v allocs, json.Unmarshal %v", len(line), fast, ref)
+}
+
+// TestDecodeDeviceResultSlabAllocs pins the decode of one hetero line
+// (12 arrays of four element types) to at most five allocations: the
+// Result and Report together, and one slab per element type. The
+// scratch pool drops a quarter of its Puts under -race, so it counts
+// the least of twenty decodes.
+func TestDecodeDeviceResultSlabAllocs(t *testing.T) {
+	line := heteroLine(t)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var dr DeviceResult
+	least := ^uint64(0)
+	for range 20 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err := DecodeDeviceResult(line, &dr)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		least = min(least, after.Mallocs-before.Mallocs)
+	}
+	if least > 5 {
+		t.Errorf("DecodeDeviceResult of a hetero line: %d allocs, want <= 5", least)
+	}
+}
+
+// TestDecodeDeviceResultArraysOwnTheirCapacity: every decoded array
+// ends its capacity at its own last element, so appending to any one
+// of them — they share slabs — leaves the rest of the value equal to
+// json.Unmarshal's. Nil and empty arrays stay nil and empty.
+func TestDecodeDeviceResultArraysOwnTheirCapacity(t *testing.T) {
+	for name, dr := range codecCases(t) {
+		line, err := json.Marshal(dr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want, got DeviceResult
+		if err := json.Unmarshal(line, &want); err != nil {
+			t.Fatal(err)
+		}
+		if err := DecodeDeviceResult(line, &got); err != nil {
+			t.Fatal(err)
+		}
+		eachSlice(reflect.ValueOf(got), func(s reflect.Value) {
+			if s.Cap() != s.Len() {
+				t.Errorf("%s: decoded %v has len %d, cap %d", name, s.Type(), s.Len(), s.Cap())
+			}
+			reflect.Append(s, junk(s.Type().Elem()))
+		})
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: appending to a decoded array changed another one", name)
+		}
+	}
+}
+
+// eachSlice calls fn on every slice reachable from v, outer first.
+func eachSlice(v reflect.Value, fn func(reflect.Value)) {
+	switch v.Kind() {
+	case reflect.Pointer:
+		if !v.IsNil() {
+			eachSlice(v.Elem(), fn)
+		}
+	case reflect.Struct:
+		for i := range v.NumField() {
+			eachSlice(v.Field(i), fn)
+		}
+	case reflect.Slice:
+		fn(v)
+		for i := range v.Len() {
+			eachSlice(v.Index(i), fn)
+		}
+	case reflect.Map:
+		for it := v.MapRange(); it.Next(); {
+			eachSlice(it.Value(), fn)
+		}
+	}
+}
+
+// junk is a value of struct type t with every int field -7: no
+// decoded element looks like it.
+func junk(t reflect.Type) reflect.Value {
+	v := reflect.New(t).Elem()
+	for i := range v.NumField() {
+		if f := v.Field(i); f.Kind() == reflect.Int {
+			f.SetInt(-7)
+		}
+	}
+	return v
 }
 
 // FuzzDecodeDeviceResult: whatever the input, DecodeDeviceResult agrees

@@ -18,7 +18,10 @@ import (
 // its own names. Nil instruments are no-ops.
 type JobMetrics struct {
 	Submitted, Done, Failed, Cancelled, Evictions *obs.Counter
-	Duration                                      *obs.Histogram
+	// ReadErrors counts spool reads that failed under a live follower;
+	// a follower that went away is its own business, not the store's.
+	ReadErrors *obs.Counter
+	Duration   *obs.Histogram
 }
 
 // JobHooks is what differs between the daemons sharing a JobTable.
@@ -601,6 +604,18 @@ func (t *JobTable) Cancel(id string) (JobStatus, error) {
 // spool read failure or an emit failure), exactly one of which is
 // meaningful.
 func (t *JobTable) Follow(ctx context.Context, id string, offset int, emit func([]byte) error) (string, error) {
+	return t.FollowBatches(ctx, id, offset, emit, nil)
+}
+
+// FollowBatches is Follow with a per-wake callback: after each wake's
+// batch of lines has been emitted, and before the follower waits again
+// or returns, flush (when not nil) runs once. A buffered writer emits
+// into its buffer and drains it in flush, so a caught-up follower
+// still sees every line before the next append, while a follower that
+// is behind pays one drain per batch, not per line. A flush error is
+// the follower's own, like an emit error. A follower's wake allocates
+// nothing.
+func (t *JobTable) FollowBatches(ctx context.Context, id string, offset int, emit func([]byte) error, flush func() error) (string, error) {
 	j, err := t.lookup(id)
 	if err != nil {
 		return "", err
@@ -614,6 +629,18 @@ func (t *JobTable) Follow(ctx context.Context, id string, offset int, emit func(
 	})
 	defer stop()
 
+	// Distinguish the reader going away (emit failed — nothing left to
+	// tell it) from the spool failing under a live reader (wrapped in
+	// ErrStorage so the server can terminate the stream with an
+	// explicit error line instead of truncating it silently).
+	var emitErr error
+	read := func(line []byte) error {
+		if e := emit(line); e != nil {
+			emitErr = e
+			return e
+		}
+		return nil
+	}
 	next := max(offset, 0)
 	for {
 		j.mu.Lock()
@@ -627,26 +654,20 @@ func (t *JobTable) Follow(ctx context.Context, id string, offset int, emit func(
 		// Lines below n are immutable, so the spool read happens
 		// outside the lock and never stalls the appender.
 		if n > next {
-			// Distinguish the reader going away (emit failed — nothing
-			// left to tell it) from the spool failing under a live
-			// reader (wrapped in ErrStorage so the server can
-			// terminate the stream with an explicit error line
-			// instead of truncating it silently).
-			var emitErr error
-			err := j.spool.Read(next, n, func(line []byte) error {
-				if e := emit(line); e != nil {
-					emitErr = e
-					return e
-				}
-				return nil
-			})
+			err := j.spool.Read(next, n, read)
 			if emitErr != nil {
 				return "", emitErr
 			}
 			if err != nil {
+				t.hooks.Metrics.ReadErrors.Inc()
 				return "", fmt.Errorf("%w: %v", ErrStorage, err)
 			}
 			next = n
+			if flush != nil {
+				if err := flush(); err != nil {
+					return "", err
+				}
+			}
 		}
 		if state.Terminal() {
 			return jobErr, nil

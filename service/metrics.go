@@ -18,7 +18,6 @@ type metrics struct {
 	spoolAppends     *obs.Counter
 	spoolBytes       *obs.Counter
 	spoolFlushes     *obs.Counter
-	spoolReadErrors  *obs.Counter
 }
 
 // newMetrics registers the Manager's event-driven instruments; reg may
@@ -26,12 +25,13 @@ type metrics struct {
 func newMetrics(reg *obs.Registry) *metrics {
 	return &metrics{
 		job: JobMetrics{
-			Submitted: reg.Counter("jobs_submitted_total", "Fleet jobs accepted by Submit."),
-			Done:      reg.Counter("jobs_finished_total", "Jobs reaching a terminal state.", "state", "done"),
-			Failed:    reg.Counter("jobs_finished_total", "Jobs reaching a terminal state.", "state", "failed"),
-			Cancelled: reg.Counter("jobs_finished_total", "Jobs reaching a terminal state.", "state", "cancelled"),
-			Evictions: reg.Counter("retention_evictions_total", "Finished jobs evicted by the retention caps."),
-			Duration:  reg.Histogram("job_duration_seconds", "Job wall time from start to terminal state.", obs.DurationBuckets),
+			Submitted:  reg.Counter("jobs_submitted_total", "Fleet jobs accepted by Submit."),
+			Done:       reg.Counter("jobs_finished_total", "Jobs reaching a terminal state.", "state", "done"),
+			Failed:     reg.Counter("jobs_finished_total", "Jobs reaching a terminal state.", "state", "failed"),
+			Cancelled:  reg.Counter("jobs_finished_total", "Jobs reaching a terminal state.", "state", "cancelled"),
+			Evictions:  reg.Counter("retention_evictions_total", "Finished jobs evicted by the retention caps."),
+			ReadErrors: reg.Counter("store_read_errors_total", "Spool reads that failed under a live follower."),
+			Duration:   reg.Histogram("job_duration_seconds", "Job wall time from start to terminal state.", obs.DurationBuckets),
 		},
 		devicesDiagnosed: reg.Counter("devices_diagnosed_total", "Devices diagnosed by fleet workers (compute time, ahead of ordered delivery)."),
 		devicesCompleted: reg.Counter("devices_completed_total", "Device results appended to job spools."),
@@ -39,7 +39,6 @@ func newMetrics(reg *obs.Registry) *metrics {
 		spoolAppends:     reg.Counter("store_appends_total", "Result lines appended to the job store."),
 		spoolBytes:       reg.Counter("store_appended_bytes_total", "Result bytes appended to the job store, newline included."),
 		spoolFlushes:     reg.Counter("store_flushes_total", "Explicit spool flushes (result-boundary durability points)."),
-		spoolReadErrors:  reg.Counter("store_read_errors_total", "Spool reads that failed under a live follower."),
 	}
 }
 
@@ -127,8 +126,9 @@ func (s measuredStore) Open(id string) (store.Job, error) {
 	return measuredJob{Job: j, x: s.x}, nil
 }
 
-// measuredJob counts appends, appended bytes, flushes and read
-// failures on one spool.
+// measuredJob counts appends, appended bytes and flushes on one spool.
+// Read failures are counted by the follower, which alone knows whether
+// the spool or its reader failed (JobMetrics.ReadErrors).
 type measuredJob struct {
 	store.Job
 	x *metrics
@@ -146,21 +146,4 @@ func (j measuredJob) Append(line []byte) error {
 func (j measuredJob) Flush() error {
 	j.x.spoolFlushes.Inc()
 	return j.Job.Flush()
-}
-
-func (j measuredJob) Read(from, to int, emit func(line []byte) error) error {
-	emitFailed := false
-	err := j.Job.Read(from, to, func(line []byte) error {
-		if e := emit(line); e != nil {
-			emitFailed = true
-			return e
-		}
-		return nil
-	})
-	if err != nil && !emitFailed {
-		// The spool itself failed under a reader; a consumer that went
-		// away is the reader's business, not the store's.
-		j.x.spoolReadErrors.Inc()
-	}
-	return err
 }

@@ -1,12 +1,14 @@
 package service
 
 import (
+	"bufio"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
 	"strconv"
+	"sync"
 
 	"repro/internal/obs"
 	"repro/memtest"
@@ -28,11 +30,12 @@ type Backend interface {
 	Jobs() []JobStatus
 	// Cancel stops a job; see JobTable.Cancel for the state contract.
 	Cancel(id string) (JobStatus, error)
-	// Follow streams a job's result lines from line offset onward until
-	// the job ends or ctx is cancelled; it returns the job's terminal
-	// error message and the follower's own error, exactly one of which
-	// is meaningful.
-	Follow(ctx context.Context, id string, offset int, emit func([]byte) error) (string, error)
+	// FollowBatches streams a job's result lines from line offset
+	// onward until the job ends or ctx is cancelled, calling flush once
+	// after each wake's batch; it returns the job's terminal error
+	// message and the follower's own error, exactly one of which is
+	// meaningful. See JobTable.FollowBatches.
+	FollowBatches(ctx context.Context, id string, offset int, emit func([]byte) error, flush func() error) (string, error)
 	// Diagnose runs one device synchronously.
 	Diagnose(ctx context.Context, req JobRequest) (*memtest.Result, error)
 	// Health reports capacity, load and capability.
@@ -192,15 +195,21 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, st)
 }
 
+// streamWriters recycles the buffers handleResults writes a stream
+// through, so a follower's lines leave in one chunk per wake.
+var streamWriters = sync.Pool{New: func() any { return bufio.NewWriterSize(nil, 32<<10) }}
+
 // handleResults streams a job's results as NDJSON: every line is one
-// memtest.DeviceResult exactly as json.Marshal renders it, flushed as
-// it completes; a failed or cancelled job terminates the stream with
-// one {"error": "..."} line. ?offset=N skips the first N lines of the
-// spool — the pagination hook for resuming an interrupted read or
-// fetching the tail of a huge finished job. With
-// ?cancel_on_disconnect=true a reader that goes away mid-stream
-// cancels the job itself — the tail-and-own mode the
-// one-client-per-job workflow uses.
+// memtest.DeviceResult exactly as json.Marshal renders it; a failed or
+// cancelled job terminates the stream with one {"error": "..."} line.
+// Lines are buffered and flushed to the reader once per follower
+// wake, after the lines that wake read, so a caught-up reader gets
+// each line as it completes and a reader that is behind gets them in
+// batches. ?offset=N skips the first N lines of the spool — the
+// pagination hook for resuming an interrupted read or fetching the
+// tail of a huge finished job. With ?cancel_on_disconnect=true a
+// reader that goes away mid-stream cancels the job itself — the
+// tail-and-own mode the one-client-per-job workflow uses.
 func (s *Server) handleResults(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	// Resolve before committing to a 200: unknown jobs are a 404.
@@ -221,31 +230,42 @@ func (s *Server) handleResults(w http.ResponseWriter, r *http.Request) {
 
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
-	flusher, _ := w.(http.Flusher)
+	bw := streamWriters.Get().(*bufio.Writer)
+	bw.Reset(w)
+	defer func() {
+		bw.Reset(nil)
+		streamWriters.Put(bw)
+	}()
+	rc := http.NewResponseController(w)
 	emit := func(line []byte) error {
-		if _, err := w.Write(line); err != nil {
+		bw.Write(line) //nolint:errcheck // a failed write sticks to bw and surfaces at WriteByte
+		return bw.WriteByte('\n')
+	}
+	// flush drains the buffer to the connection. A write that fails
+	// here means the reader went away, like a failed emit.
+	flush := func() error {
+		if err := bw.Flush(); err != nil {
 			return err
 		}
-		if _, err := w.Write([]byte("\n")); err != nil {
+		if err := rc.Flush(); err != nil && !errors.Is(err, http.ErrNotSupported) {
 			return err
-		}
-		if flusher != nil {
-			flusher.Flush()
 		}
 		return nil
 	}
-	jobErr, err := s.m.Follow(r.Context(), id, offset, emit)
+	jobErr, err := s.m.FollowBatches(r.Context(), id, offset, emit, flush)
 	if err != nil {
 		if errors.Is(err, ErrStorage) {
 			// The spool failed under a still-connected reader (disk
 			// fault, or the job was evicted mid-stream). Terminate
-			// explicitly — a silently truncated stream would be
-			// indistinguishable from a complete one.
+			// explicitly, after the lines already emitted — a silently
+			// truncated stream would be indistinguishable from a
+			// complete one.
 			emit(mustMarshal(ErrorBody{Error: err.Error()})) //nolint:errcheck
+			flush()                                          //nolint:errcheck
 			return
 		}
-		// The reader disconnected (or its write failed) before the job
-		// finished.
+		// The reader disconnected (or a write to it failed) before the
+		// job finished.
 		if cancelOnDisconnect {
 			s.m.Cancel(id) //nolint:errcheck // job may have finished racing the disconnect
 		}
@@ -254,6 +274,7 @@ func (s *Server) handleResults(w http.ResponseWriter, r *http.Request) {
 	if jobErr != "" {
 		emit(mustMarshal(ErrorBody{Error: jobErr})) //nolint:errcheck
 	}
+	flush() //nolint:errcheck // the stream is complete; a reader gone now has nothing left to miss
 }
 
 // handleDiagnose runs one device synchronously via Backend.Diagnose

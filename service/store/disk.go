@@ -470,11 +470,14 @@ func (j *diskJob) Read(from, to int, emit func([]byte) error) error {
 	// (emitted slices are only valid during emit): a tail follower reads
 	// in small batches, and a fresh 64 KiB reader plus a copy of every
 	// line per batch was the spool's main allocation.
-	br := readerPool.Get().(*bufio.Reader)
-	br.Reset(io.NewSectionReader(r, start, end-start))
+	sr := readerPool.Get().(*spoolReader)
+	sr.win = *io.NewSectionReader(r, start, end-start)
+	br := sr.br
+	br.Reset(&sr.win)
 	defer func() {
 		br.Reset(nil)
-		readerPool.Put(br)
+		sr.win = io.SectionReader{}
+		readerPool.Put(sr)
 	}()
 	pos := start
 	for i := startLine; i < from; i++ {
@@ -514,8 +517,16 @@ func (j *diskJob) Read(from, to int, emit func([]byte) error) error {
 	return nil
 }
 
-// readerPool recycles the 64 KiB spool readers Read draws per batch.
-var readerPool = sync.Pool{New: func() any { return bufio.NewReaderSize(nil, 1<<16) }}
+// spoolReader is one batch's read cursor: a 64 KiB buffer over a
+// window of the spool file. Both halves are reused, so a follower's
+// batch allocates nothing.
+type spoolReader struct {
+	br  *bufio.Reader
+	win io.SectionReader
+}
+
+// readerPool recycles the spool readers Read draws per batch.
+var readerPool = sync.Pool{New: func() any { return &spoolReader{br: bufio.NewReaderSize(nil, 1<<16)} }}
 
 // discardLine consumes one whole line (however long) from br and
 // reports how many bytes it spanned, newline included.
