@@ -33,20 +33,18 @@ import (
 // special and clean bits in ascending order so the failure records
 // stay byte-identical to the per-device path's.
 //
-// A miscompare is recorded for all its failing lanes at once, in two
-// batch logs whose entries carry a lane mask, so it costs at most two
-// appends however many lanes fail. The failure log holds the failing
-// lanes' mask, the bit and the index of its read's record template.
-// The located log holds a cell, and its memory, with the mask of the
-// lanes locating it for the first time: located keeps one lane-mask
-// word per cell of every memory, bit l set once lane l has located
-// that cell, so mism &^ located[cell] is that mask and no lane ever
-// scans its located set. The words cover every cell, not only the
-// special ones — under LSB-first delivery clean cells miscompare on
-// every lane. After the pass, Run cuts one batch buffer per log into
-// every (lane, memory) pair's slice by offset and fills it in log
-// order: a lane's records come out in its execution order, its located
-// cells are then sorted.
+// A miscompare is recorded for all its failing lanes at once: one
+// append to a batch failure log, whose entry holds the failing lanes'
+// mask, the bit and the index of its read's record template, and one
+// OR into located, which keeps one lane-mask word per cell of every
+// memory, bit l set once lane l has located that cell. The words cover
+// every cell, not only the special ones — under LSB-first delivery
+// clean cells miscompare on every lane. After the pass, Run cuts one
+// batch buffer for the records and one for the located cells into
+// every (lane, memory) pair's slice by offset, and fills the records
+// in log order, so a lane's records come out in its execution order,
+// and the located cells by walking located in cell order, so each
+// lane's located list comes out sorted.
 //
 // The reports Run returns live in runner-owned storage — the Report
 // and MemoryResult structs and the two batch buffers — and stay valid
@@ -76,11 +74,10 @@ type BankRunner struct {
 	// log is the batch's miscompare log, execution order. sites holds
 	// the record template of every read that miscompared on some lane;
 	// site is the current read's index into it, -1 until its first
-	// miscompare. found is the batch's located log.
+	// miscompare.
 	log   []miscompare
 	sites []FailureRecord
 	site  int32
-	found []foundCell
 	// counts is the fill passes' per-(lane, memory) scratch, index
 	// lane*nm + memory; fails and cells are the batch buffers every
 	// lane's Failures and Located slice.
@@ -97,15 +94,6 @@ type BankRunner struct {
 type miscompare struct {
 	mask      uint64
 	site, bit int32
-}
-
-// foundCell is one located log entry: the lanes that located, for
-// the first time, memory mem's cell phys*c_mem + bit, whose lane-mask
-// word is located[locBase[mem] + cell]. A memory's cells fit an int32,
-// as the bank's cell indexes do.
-type foundCell struct {
-	mask      uint64
-	cell, mem int32
 }
 
 // NewBankRunner returns an empty runner; the first Run sizes it.
@@ -148,7 +136,7 @@ func (r *BankRunner) Run(banks []*sram.MemoryBank, lanes int, test march.Test, o
 		r.located = make([]uint64, cells)
 		r.counts = make([]int, sram.BankLanes*nm)
 	}
-	r.log, r.sites, r.found = r.log[:0], r.sites[:0], r.found[:0]
+	r.log, r.sites = r.log[:0], r.sites[:0]
 	comp, addrGens := r.comp, r.addrGens
 	spcWord, spcWordInv, intended, intendedInv := r.spcWord, r.spcWordInv, r.intended, r.intendedInv
 	cMax := r.cMax
@@ -299,22 +287,29 @@ func (r *BankRunner) fillFailures() {
 	clear(r.counts)
 }
 
-// fillLocated does the same with the located log, then sorts each
-// lane's located cells. A pair with none gets an empty, non-nil slice:
-// an empty located set must still marshal as [].
+// fillLocated does the same with the located words, walked in cell
+// order, the order a located list is sorted in. A pair with none gets
+// an empty, non-nil slice: an empty located set must still marshal as
+// [].
 func (r *BankRunner) fillLocated(lanes int) {
 	nm := len(r.geoms)
-	for _, f := range r.found {
-		r.count(f.mask, int(f.mem))
+	for i, g := range r.geoms {
+		for _, m := range r.located[r.locBase[i]:][:g.n*g.c] {
+			r.count(m, i)
+		}
 	}
 	r.cells = cut(r, r.cells, func(k int, s []fault.Cell) { r.results[k].Located = s })
-	for _, f := range r.found {
-		w := int32(r.geoms[f.mem].c)
-		cell := fault.Cell{Addr: int(f.cell / w), Bit: int(f.cell % w)}
-		for m := f.mask; m != 0; m &= m - 1 {
-			k := bits.TrailingZeros64(m)*nm + int(f.mem)
-			r.results[k].Located[r.counts[k]] = cell
-			r.counts[k]++
+	for i, g := range r.geoms {
+		for cell, m := range r.located[r.locBase[i]:][:g.n*g.c] {
+			if m == 0 {
+				continue
+			}
+			c := fault.Cell{Addr: cell / g.c, Bit: cell % g.c}
+			for ; m != 0; m &= m - 1 {
+				k := bits.TrailingZeros64(m)*nm + i
+				r.results[k].Located[r.counts[k]] = c
+				r.counts[k]++
+			}
 		}
 	}
 	clear(r.counts)
@@ -322,7 +317,6 @@ func (r *BankRunner) fillLocated(lanes int) {
 		if r.results[k].Located == nil {
 			r.results[k].Located = []fault.Cell{}
 		}
-		fault.SortCells(r.results[k].Located)
 	}
 }
 
@@ -378,13 +372,9 @@ func cut[T any](r *BankRunner, buf []T, set func(k int, s []T)) []T {
 	return buf
 }
 
-// reset clears the previous batch's state for a same-shape run. Every
-// nonzero located word names a cell of the located log, so the log
-// clears the array in O(located cells).
+// reset clears the previous batch's state for a same-shape run.
 func (r *BankRunner) reset() {
-	for _, f := range r.found {
-		r.located[r.locBase[f.mem]+int(f.cell)] = 0
-	}
+	clear(r.located)
 	for _, mem := range r.written {
 		for _, w := range mem {
 			w.Fill(false)
@@ -393,19 +383,12 @@ func (r *BankRunner) reset() {
 }
 
 // recordMismatch registers one failing bit for every lane set in mism:
-// one failure log entry and, when some of those lanes have not located
-// the cell yet, one located log entry for them.
+// one failure log entry, and the cell in those lanes' located sets.
 func (r *BankRunner) recordMismatch(mism uint64, mem, logical, phys, bit, elem, bg, op int) {
 	if mism == 0 {
 		return
 	}
-	cell := phys*r.geoms[mem].c + bit
-	k := r.locBase[mem] + cell
-	seen := r.located[k]
-	r.located[k] = seen | mism
-	if fresh := mism &^ seen; fresh != 0 {
-		r.found = push(r.found, foundCell{mask: fresh, cell: int32(cell), mem: int32(mem)})
-	}
+	r.located[r.locBase[mem]+phys*r.geoms[mem].c+bit] |= mism
 	if r.site < 0 {
 		r.site = int32(len(r.sites))
 		r.sites = push(r.sites, FailureRecord{

@@ -13,7 +13,7 @@ import (
 // a Plan draws only the paper's defect mix plus DRFs, and every one of
 // those classes is bankable, so the bit-sliced bank can take every
 // device a fleet builds. A fleet that does hold an unbankable fault
-// (SOF/ADOF/CDF) is refused loudly at Load instead of being diagnosed
+// (SOF/ADOF/CDF) is refused loudly at load instead of being diagnosed
 // wrongly.
 
 // densePlan packs small memories with every cell defective, plus one
@@ -31,15 +31,15 @@ func densePlan() Plan {
 	}
 }
 
-// drawFleet draws device seed's fault lists on w into a fresh Fleet
-// with no memories — what runBatch hands BatchRunner.Load.
-func drawFleet(t *testing.T, w *fleetWorker, seed int64) *Fleet {
+// drawTruth draws device seed's fault lists on w into fresh lists, one
+// per plan memory — what runBatch hands batchRunner.load.
+func drawTruth(t *testing.T, w *fleetWorker, seed int64) [][]fault.Fault {
 	t.Helper()
-	f := &Fleet{plan: w.plan, truth: make([][]fault.Fault, len(w.plan.Memories))}
-	if err := w.b.Draw(w.deriveSeeds(seed), f.truth); err != nil {
+	truth := make([][]fault.Fault, len(w.plan.Memories))
+	if err := w.b.Draw(w.deriveSeeds(seed), truth); err != nil {
 		t.Fatalf("seed %d: %v", seed, err)
 	}
-	return f
+	return truth
 }
 
 func TestPlanBuildsAreAlwaysBankable(t *testing.T) {
@@ -50,10 +50,10 @@ func TestPlanBuildsAreAlwaysBankable(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			br := proposedEngine{}.NewBatchRunner()
+			br := proposedEngine{}.newBatchRunner(plan)
 			for seed := range seeds {
-				f := drawFleet(t, fb, int64(seed))
-				if err := br.Load(seed%br.Lanes(), f); err != nil {
+				truth := drawTruth(t, fb, int64(seed))
+				if err := br.load(seed%sram.BankLanes, truth); err != nil {
 					t.Fatalf("seed %d: %v", seed, err)
 				}
 			}
@@ -67,27 +67,27 @@ func TestBatchLoadRejectsUnbankableFault(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f := drawFleet(t, fb, 5)
+	truth := drawTruth(t, fb, 5)
 	// Plans never draw SOF, so plant one on a free cell of the last
 	// memory's fault list by hand.
-	last := f.Len() - 1
+	last := len(truth) - 1
 	taken := map[fault.Cell]bool{}
-	for _, flt := range f.truth[last] {
+	for _, flt := range truth[last] {
 		taken[flt.Victim] = true
 	}
 	var victim fault.Cell
 	for taken[victim] {
 		victim.Bit++
 	}
-	f.truth[last] = append(f.truth[last], fault.Fault{Class: fault.SOF, Victim: victim})
+	truth[last] = append(truth[last], fault.Fault{Class: fault.SOF, Victim: victim})
 
-	br := proposedEngine{}.NewBatchRunner()
-	err = br.Load(0, f)
+	br := proposedEngine{}.newBatchRunner(plan)
+	err = br.load(0, truth)
 	if !errors.Is(err, sram.ErrUnbankable) {
-		t.Fatalf("Load of a fleet with an SOF = %v, want an error wrapping sram.ErrUnbankable", err)
+		t.Fatalf("load of a fleet with an SOF = %v, want an error wrapping sram.ErrUnbankable", err)
 	}
-	if name := f.MemoryName(last); !strings.Contains(err.Error(), name) {
-		t.Fatalf("Load error %q does not name memory %q", err, name)
+	if name := plan.Memories[last].Name; !strings.Contains(err.Error(), name) {
+		t.Fatalf("load error %q does not name memory %q", err, name)
 	}
 }
 

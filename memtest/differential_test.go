@@ -14,7 +14,7 @@ import (
 // mixes, repair budgets, both background delivery orders, device
 // counts that straddle the 64-lane batch boundary, and worker counts.
 // The per-device reference arm is obtained by flipping the session's
-// noBatch switch, which hides the engine's BatchEngine side.
+// noBatch switch, which hides the engine's batch path.
 
 // diffPlan draws the paper's defect classes (SA0/SA1, TFUp/TFDown,
 // CFid, CFin) at a rate high enough that every run sees a mix, plus
@@ -54,7 +54,7 @@ func diffFleets(t *testing.T, plan Plan, devices int, opts ...Option) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := banked.engine.(BatchEngine); !ok {
+	if _, ok := banked.engine.(batchEngine); !ok {
 		t.Fatal("proposed engine no longer batchable; differential is vacuous")
 	}
 	ref, err := New(plan, opts...)

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+
+	"repro/internal/fault"
 )
 
 // EngineOptions is the engine-facing slice of a Session's
@@ -55,38 +57,34 @@ type Engine interface {
 	Run(ctx context.Context, f *Fleet, opt EngineOptions) (*Report, error)
 }
 
-// BatchRunner is reusable per-worker state for bit-sliced batch
-// execution: up to Lanes same-plan devices are loaded one per lane and
-// diagnosed by a single schedule pass, returning one Report per lane.
-// The per-lane Reports must be byte-identical to what the engine's
-// per-device path would produce for each device alone. A BatchRunner
-// is NOT safe for concurrent use — each fleet worker owns one.
-type BatchRunner interface {
-	// Lanes is the batch width (64 for the built-in bit-sliced bank).
-	Lanes() int
-	// Load stages one device's fleet into the given lane. The fleet
-	// carries the device's fault lists and geometry, with no
-	// memories. Load(0, f) starts a new batch: the runner (re)fits
-	// itself to f's geometry and clears all lanes. A device whose faults the batch
-	// path cannot model fails with an error wrapping
-	// sram.ErrUnbankable; any error is a hard failure for that device.
-	Load(lane int, f *Fleet) error
-	// RunBatch diagnoses lanes [0, lanes) in one schedule pass and
-	// returns their Reports, index = lane. The Reports may live in the
-	// runner's own storage and need stay valid only until its next
-	// Load or RunBatch; fleet streams copy or encode each lane before
-	// then.
-	RunBatch(ctx context.Context, lanes int, opt EngineOptions) ([]*Report, error)
+// batchRunner is a fleet worker's bit-sliced batch state, made once
+// for the worker's plan: up to sram.BankLanes devices of that plan are
+// loaded one per lane and diagnosed by a single schedule pass, which
+// returns one Report per lane, byte-identical to what the engine's
+// per-device path produces for each device alone. Not safe for
+// concurrent use.
+type batchRunner interface {
+	// load stages one device's fault lists, one per plan memory, into
+	// the given lane; load(0, ...) starts a new batch and clears every
+	// lane. A device whose faults the batch path cannot model fails
+	// with an error wrapping sram.ErrUnbankable.
+	load(lane int, truth [][]fault.Fault) error
+	// run diagnoses lanes [0, lanes) in one schedule pass and returns
+	// their Reports, index = lane, in the runner's storage: valid
+	// until its next load or run.
+	run(ctx context.Context, lanes int, opt EngineOptions) ([]*Report, error)
+	// keep hands the caller the storage behind the last run's located
+	// cells and failure records, after which the runner no longer
+	// reuses it (bisd.BankRunner.Keep).
+	keep()
 }
 
-// BatchEngine is implemented by engines that can advertise a bit-sliced
-// batch path. RunFleetRange detects it and groups its device window
-// into Lanes-wide batches; engines that don't implement it run per
-// device. The built-in "proposed" engine implements it.
-type BatchEngine interface {
+// batchEngine is an engine with a bit-sliced batch path; fleet streams
+// detect it and group their devices into sram.BankLanes-wide batches.
+// The built-in "proposed" engine is one.
+type batchEngine interface {
 	Engine
-	// NewBatchRunner returns a fresh, unshared batch runner.
-	NewBatchRunner() BatchRunner
+	newBatchRunner(plan Plan) batchRunner
 }
 
 var (

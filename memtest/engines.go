@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/bisd"
 	"repro/internal/bitvec"
+	"repro/internal/fault"
 	"repro/internal/march"
 	"repro/internal/simulator"
 	"repro/internal/sram"
@@ -54,34 +55,38 @@ func (proposedEngine) Run(ctx context.Context, f *Fleet, opt EngineOptions) (*Re
 	})
 }
 
-// NewBatchRunner implements BatchEngine: the returned runner packs up
-// to sram.BankLanes devices into bit-sliced MemoryBanks (one per plan
-// memory, lane l = device l) and runs the March schedule once per
-// batch through a bisd.BankRunner. Per-lane reports are byte-identical
-// to the per-device path's (pinned by the fleet differential suite).
-func (proposedEngine) NewBatchRunner() BatchRunner {
-	return &proposedBatchRunner{r: bisd.NewBankRunner()}
+// newBatchRunner packs up to sram.BankLanes devices of plan into
+// bit-sliced MemoryBanks, one per plan memory (lane l = device l), and
+// runs the March schedule once per batch through a bisd.BankRunner.
+// Per-lane reports are byte-identical to the per-device path's (pinned
+// by the fleet differential suite).
+func (proposedEngine) newBatchRunner(plan Plan) batchRunner {
+	pb := &proposedBatchRunner{
+		r:     bisd.NewBankRunner(),
+		plan:  plan,
+		banks: make([]*sram.MemoryBank, len(plan.Memories)),
+	}
+	for i, m := range plan.Memories {
+		pb.banks[i] = sram.NewMemoryBank(m.Words, m.Width)
+	}
+	return pb
 }
 
 type proposedBatchRunner struct {
 	r     *bisd.BankRunner
+	plan  Plan
 	banks []*sram.MemoryBank
-	cMax  int
-
-	// Cached DefaultTest instantiation.
-	test      MarchTest
-	testCMax  int
-	testDRF   bool
-	testValid bool
+	// tests caches DefaultTest for the plan, index 1 with DRF.
+	tests [2]*MarchTest
 }
 
-func (pb *proposedBatchRunner) Lanes() int { return sram.BankLanes }
-
-func (pb *proposedBatchRunner) Load(lane int, f *Fleet) error {
+func (pb *proposedBatchRunner) load(lane int, truth [][]fault.Fault) error {
 	if lane == 0 {
-		pb.fit(f)
+		for _, b := range pb.banks {
+			b.Reset()
+		}
 	}
-	for i, faults := range f.truth {
+	for i, faults := range truth {
 		ok, err := pb.banks[i].LoadLane(lane, faults)
 		if err != nil {
 			return err
@@ -89,46 +94,26 @@ func (pb *proposedBatchRunner) Load(lane int, f *Fleet) error {
 		if !ok {
 			// Plans draw only bankable classes, so an SOF/ADOF/CDF here
 			// is a fleet the batch path would diagnose wrongly.
-			return fmt.Errorf("memtest: memory %q: %w", f.MemoryName(i), sram.ErrUnbankable)
+			return fmt.Errorf("memtest: memory %q: %w", pb.plan.Memories[i].Name, sram.ErrUnbankable)
 		}
 	}
 	return nil
 }
 
-// fit sizes the banks to the fleet's geometry, reusing them (a cheap
-// O(special cells) Reset each) when it is unchanged — the steady state
-// for same-plan fleet batches.
-func (pb *proposedBatchRunner) fit(f *Fleet) {
-	match := len(pb.banks) == f.Len()
-	for i := 0; match && i < f.Len(); i++ {
-		n, c := f.Geometry(i)
-		match = pb.banks[i].N() == n && pb.banks[i].C() == c
-	}
-	if match {
-		for _, b := range pb.banks {
-			b.Reset()
-		}
-		return
-	}
-	pb.banks = make([]*sram.MemoryBank, f.Len())
-	for i := range pb.banks {
-		pb.banks[i] = sram.NewMemoryBank(f.Geometry(i))
-	}
-	pb.cMax = f.WidestWidth()
-}
-
-// keep lets a fleet stream keep the last batch's located cells and
-// failure records without copying them (see bisd.BankRunner.Keep).
 func (pb *proposedBatchRunner) keep() { pb.r.Keep() }
 
-func (pb *proposedBatchRunner) RunBatch(ctx context.Context, lanes int, opt EngineOptions) ([]*Report, error) {
+func (pb *proposedBatchRunner) run(ctx context.Context, lanes int, opt EngineOptions) ([]*Report, error) {
 	test := opt.Test
 	if test == nil {
-		if !pb.testValid || pb.testCMax != pb.cMax || pb.testDRF != opt.IncludeDRF {
-			pb.test = DefaultTest(pb.cMax, opt.IncludeDRF)
-			pb.testCMax, pb.testDRF, pb.testValid = pb.cMax, opt.IncludeDRF, true
+		k := 0
+		if opt.IncludeDRF {
+			k = 1
 		}
-		test = &pb.test
+		if pb.tests[k] == nil {
+			t := DefaultTest(pb.plan.WidestWidth(), opt.IncludeDRF)
+			pb.tests[k] = &t
+		}
+		test = pb.tests[k]
 	}
 	return pb.r.Run(pb.banks, lanes, *test, bisd.ProposedOptions{
 		ClockNs:       opt.ClockNs,

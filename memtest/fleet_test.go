@@ -8,6 +8,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/sram"
 )
 
 // collectFleet drains a RunFleet stream into JSON lines for comparison,
@@ -168,11 +170,7 @@ func checkReorderWindow(t *testing.T, stream func(s *Session, lo, hi int, emit f
 			const workers, lo = 2, 5
 			step := 1
 			if tc.batch {
-				e, err := LookupEngine("proposed")
-				if err != nil {
-					t.Fatal(err)
-				}
-				step = e.(BatchEngine).NewBatchRunner().Lanes()
+				step = sram.BankLanes
 			}
 			window := reorderWindow(workers) * step
 			hi := lo + window + 2*step

@@ -96,84 +96,73 @@ func TestAppendFleetRangeMatchesRunFleetRange(t *testing.T) {
 // worker's Result arena would show a later device's diagnosis.
 func TestRunFleetRangeResultsOwnTheirStorage(t *testing.T) {
 	const devices, seed = 200, 11
-	inner, err := LookupEngine("proposed")
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The built-in runner hands its record storage over to the
-	// results; a wrapped one cannot, so its records are copied.
-	engines := map[string]Engine{
-		"keeps":  inner,
-		"copies": &countingBatchEngine{BatchEngine: inner.(BatchEngine)},
-	}
 	for _, plan := range []Plan{HeterogeneousExample(), diffPlan()} {
-		for name, e := range engines {
-			t.Run(plan.Name+"/"+name, func(t *testing.T) {
-				s, err := New(plan, WithEngine(e), WithSeed(seed), WithDRF(), WithWorkers(2))
+		// The batch runner hands its record storage over to the results.
+		t.Run(plan.Name+"/keeps", func(t *testing.T) {
+			s, err := New(plan, WithSeed(seed), WithDRF(), WithWorkers(2))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var kept []DeviceResult
+			for dr, err := range s.RunFleetRange(context.Background(), 0, devices) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				var kept []DeviceResult
-				for dr, err := range s.RunFleetRange(context.Background(), 0, devices) {
-					if err != nil {
-						t.Fatal(err)
-					}
-					kept = append(kept, dr)
+				kept = append(kept, dr)
+			}
+			if len(kept) != devices {
+				t.Fatalf("kept %d devices, want %d", len(kept), devices)
+			}
+			failing := 0
+			for d, dr := range kept {
+				got, err := json.Marshal(dr)
+				if err != nil {
+					t.Fatal(err)
 				}
-				if len(kept) != devices {
-					t.Fatalf("kept %d devices, want %d", len(kept), devices)
+				res, err := Diagnose(context.Background(), plan, WithSeed(deviceSeed(seed, d)), WithDRF())
+				if err != nil {
+					t.Fatal(err)
 				}
-				failing := 0
-				for d, dr := range kept {
-					got, err := json.Marshal(dr)
-					if err != nil {
-						t.Fatal(err)
-					}
-					res, err := Diagnose(context.Background(), plan, WithSeed(deviceSeed(seed, d)), WithDRF())
-					if err != nil {
-						t.Fatal(err)
-					}
-					for _, m := range res.Report.Memories {
-						if len(m.Failures) > 0 {
-							failing++
-							break
-						}
-					}
-					want, err := json.Marshal(DeviceResult{Device: d, Seed: deviceSeed(seed, d), Result: res})
-					if err != nil {
-						t.Fatal(err)
-					}
-					if string(got) != string(want) {
-						t.Fatalf("device %d changed after the stream ended:\nkept:     %.300s\none-shot: %.300s", d, got, want)
+				for _, m := range res.Report.Memories {
+					if len(m.Failures) > 0 {
+						failing++
+						break
 					}
 				}
-				if failing < devices/2 {
-					t.Fatalf("only %d of %d devices have failure records; the test is vacuous", failing, devices)
+				want, err := json.Marshal(DeviceResult{Device: d, Seed: deviceSeed(seed, d), Result: res})
+				if err != nil {
+					t.Fatal(err)
 				}
-			})
-		}
+				if string(got) != string(want) {
+					t.Fatalf("device %d changed after the stream ended:\nkept:     %.300s\none-shot: %.300s", d, got, want)
+				}
+			}
+			if failing < devices/2 {
+				t.Fatalf("only %d of %d devices have failure records; the test is vacuous", failing, devices)
+			}
+		})
 	}
 }
 
 // countingBatchEngine wraps the proposed engine and counts the batch
 // passes its runners make.
 type countingBatchEngine struct {
-	BatchEngine
+	batchEngine
 	batches atomic.Int64
 }
 
-func (e *countingBatchEngine) NewBatchRunner() BatchRunner {
-	return &countingBatchRunner{BatchRunner: e.BatchEngine.NewBatchRunner(), e: e}
+func (e *countingBatchEngine) newBatchRunner(plan Plan) batchRunner {
+	return &countingBatchRunner{batchRunner: e.batchEngine.newBatchRunner(plan), e: e}
 }
 
 type countingBatchRunner struct {
-	BatchRunner
+	batchRunner
 	e *countingBatchEngine
 }
 
-func (r *countingBatchRunner) RunBatch(ctx context.Context, lanes int, opt EngineOptions) ([]*Report, error) {
+func (r *countingBatchRunner) run(ctx context.Context, lanes int, opt EngineOptions) ([]*Report, error) {
 	r.e.batches.Add(1)
-	return r.BatchRunner.RunBatch(ctx, lanes, opt)
+	return r.batchRunner.run(ctx, lanes, opt)
 }
 
 // TestFleetStreamsBatchDevices is the structural throughput check, the
@@ -189,7 +178,7 @@ func TestFleetStreamsBatchDevices(t *testing.T) {
 	const devices = 130
 	for _, sink := range []string{"RunFleetRange", "AppendFleetRange"} {
 		t.Run(sink, func(t *testing.T) {
-			e := &countingBatchEngine{BatchEngine: inner.(BatchEngine)}
+			e := &countingBatchEngine{batchEngine: inner.(batchEngine)}
 			s, err := New(HeterogeneousExample(), WithEngine(e), WithSeed(1), WithWorkers(1))
 			if err != nil {
 				t.Fatal(err)
@@ -270,17 +259,17 @@ func TestResultFromAllocs(t *testing.T) {
 // TestAppendFleetRangeAllocs pins the served fleet path's allocation
 // count with no repair budget. Diagnosing and encoding a device
 // allocates (almost) nothing: the bank pass, the evaluation and the
-// encode reuse worker storage, and each line goes out in a buffer the
-// stream recycles, so 1,024 more devices cost a few dozen allocations
+// encode reuse worker storage, and each line goes out in one of its
+// worker's buffers, so 1,024 more devices cost a few dozen allocations
 // at most, where one per device would show any per-device allocation:
 // a buffer replaced when a longer line comes along, or dropped after a
-// burst and grown again, which depends on scheduling (measured -2 to
-// 32 in a plain build, 6 to 28 under -race). What a stream allocates
-// is its setup — claims, their channels and its first line buffers,
-// ~180 allocations at two workers, whose fleet workers come warm from
-// the pool — which stays under one per device from 1,024 devices on
-// (0.08 to 0.11 per device over 2,048 in a plain build, 0.09 to 0.11
-// under -race). The pool drops a quarter of its Puts under -race, so a
+// burst and grown again, which depends on scheduling (the least of
+// eight measured 0 in a plain build and under -race). What a stream
+// allocates is its setup — claims and their channels, 28 allocations
+// at two workers, whose fleet workers come warm from the pool with
+// their line buffers — which stays under one per device from 1,024
+// devices on (0.014 per device over 2,048, plain and under -race). A
+// collection between two streams can age the pooled workers out, so a
 // stream can start on cold workers, ~400 more allocations each: each
 // size counts the least of eight streams, on one processor as
 // testing.AllocsPerRun counts.

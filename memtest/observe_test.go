@@ -83,9 +83,9 @@ func TestObservedFleetLoopAllocFree(t *testing.T) {
 	}))
 
 	// Warm both sessions so one-time lazy setup is off the books. The
-	// fleet workers come from a sync.Pool, which drops a quarter of its
-	// Puts under -race, so a run can start on cold workers: compare the
-	// least of ten runs on each side.
+	// fleet workers come from a pool that drops a worker left idle
+	// through two collections, so a run can start on cold workers:
+	// compare the least of ten runs on each side.
 	run(plain)()
 	run(observed)()
 	least := func(f func()) float64 {

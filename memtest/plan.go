@@ -42,16 +42,13 @@ func Benchmark16() Plan { return config.Benchmark16() }
 // between computational blocks.
 func HeterogeneousExample() Plan { return config.HeterogeneousExample() }
 
-// Fleet is a built plan: the plan plus each memory's ground-truth
-// fault list, and, on the per-device path, behavioural memories with
-// those faults injected. Engines receive a Fleet; its geometry
-// accessors are the public surface third-party engines work against.
-// A fleet given to BatchRunner.Load carries fault lists and geometry
-// only, with no memories.
+// Fleet is a built plan: the plan plus one behavioural memory per plan
+// memory, with that device's faults injected. Engines receive a Fleet;
+// its geometry accessors are the public surface third-party engines
+// work against.
 type Fleet struct {
-	plan  Plan
-	mems  []*sram.Memory
-	truth [][]fault.Fault
+	plan Plan
+	mems []*sram.Memory
 }
 
 // Len returns the number of memories in the fleet.

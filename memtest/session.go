@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/fault"
 	"repro/internal/repair"
+	"repro/internal/sram"
 	"repro/internal/timing"
 )
 
@@ -31,8 +32,8 @@ type Session struct {
 	// observe, when non-nil, is called once per device as a fleet
 	// worker finishes diagnosing it (see WithDeviceObserver).
 	observe func(device int)
-	// noBatch forces the per-device fleet path even when the engine is
-	// a BatchEngine — the differential suite's reference arm.
+	// noBatch forces the per-device fleet path even when the engine has
+	// a batch path — the differential suite's reference arm.
 	noBatch bool
 }
 
@@ -186,7 +187,7 @@ func (s *Session) runOnce(ctx context.Context) ([][]fault.Fault, *Report, error)
 	if err != nil {
 		return nil, nil, err
 	}
-	defer workerPool.Put(w)
+	defer putWorker(w)
 	return w.diagnose(ctx, s.eopt, s.seed, s.seedSet)
 }
 
@@ -262,13 +263,12 @@ func (s *Session) fillResult(res *Result, truth [][]fault.Fault, rep *Report) *R
 
 // clone returns a copy of a fillResult result that shares none of its
 // structs: one allocation holds the Result and its Report, and the two
-// memory slices are copied. With deep set, every memory's located
-// cells and failure records are copied too, cut from one slab each;
-// without, they stay shared, for a caller whose batch runner has
-// handed them over (keeper). A Diagnosis keeps sharing its memory
-// report's located list, as evaluate sets it. Repair and Yield are
-// shared, because fillResult allocates them afresh for every device.
-func (r *Result) clone(deep bool) *Result {
+// memory slices are copied. The located cells and failure records stay
+// shared, for a caller whose batch runner hands them over (keep), and
+// a Diagnosis keeps sharing its memory report's located list, as
+// evaluate sets it. Repair and Yield are shared, because fillResult
+// allocates them afresh for every device.
+func (r *Result) clone() *Result {
 	box := &struct {
 		res Result
 		rep Report
@@ -277,32 +277,6 @@ func (r *Result) clone(deep bool) *Result {
 	res.Report = rep
 	rep.Memories = slices.Clone(rep.Memories)
 	res.Memories = slices.Clone(res.Memories)
-	if !deep {
-		return res
-	}
-	nCells, nFails := 0, 0
-	for _, m := range rep.Memories {
-		nCells += len(m.Located)
-		nFails += len(m.Failures)
-	}
-	// A zero-capacity make allocates nothing and keeps an empty list
-	// non-nil, which marshals as [] rather than null.
-	cells := make([]Cell, 0, nCells)
-	fails := make([]FailureRecord, 0, nFails)
-	for i := range rep.Memories {
-		m := &rep.Memories[i]
-		if m.Located != nil {
-			k := len(cells)
-			cells = append(cells, m.Located...)
-			m.Located = cells[k:len(cells):len(cells)]
-		}
-		if m.Failures != nil {
-			k := len(fails)
-			fails = append(fails, m.Failures...)
-			m.Failures = fails[k:len(fails):len(fails)]
-		}
-		res.Memories[i].Located = m.Located
-	}
 	return res
 }
 
@@ -358,7 +332,7 @@ func (s *Session) RunFleetRange(ctx context.Context, lo, hi int) iter.Seq2[Devic
 			yield(DeviceResult{}, fmt.Errorf("%w: [%d, %d)", ErrBadDeviceRange, lo, hi))
 			return
 		}
-		dev, err := s.fleet(ctx, lo, hi, nil, func(d int, m fleetMsg) error {
+		dev, err := s.fleet(ctx, lo, hi, false, func(d int, m fleetMsg) error {
 			if !yield(DeviceResult{Device: d, Seed: deviceSeed(s.seed, d), Result: m.res}, nil) {
 				return errStreamStopped
 			}
@@ -383,12 +357,7 @@ func (s *Session) AppendFleetRange(ctx context.Context, lo, hi int, fn func(devi
 	if lo < 0 || hi < lo {
 		return fmt.Errorf("%w: [%d, %d)", ErrBadDeviceRange, lo, hi)
 	}
-	lines := new(lineFree)
-	_, err := s.fleet(ctx, lo, hi, lines, func(d int, m fleetMsg) error {
-		err := fn(d, m.line)
-		lines.put(m.line)
-		return err
-	})
+	_, err := s.fleet(ctx, lo, hi, true, func(d int, m fleetMsg) error { return fn(d, m.line) })
 	return err
 }
 
@@ -397,12 +366,13 @@ func (s *Session) AppendFleetRange(ctx context.Context, lo, hi int, fn func(devi
 var errStreamStopped = errors.New("memtest: fleet stream stopped")
 
 // fleet runs devices [lo, hi) through the session's worker pool and
-// hands each device's outcome to deliver, in device order: an encoded
-// line in a buffer from lines when lines is non-nil, otherwise a
-// caller-owned Result. It returns the first error — deliver's, the
-// context's or a device's — with the device a device error stands for
-// (0 otherwise), once every worker has exited.
-func (s *Session) fleet(ctx context.Context, lo, hi int, lines *lineFree, deliver func(d int, m fleetMsg) error) (int, error) {
+// hands each device's outcome to deliver, in device order: when encode
+// is set, an encoded line in a buffer of its worker's, which the stream
+// takes back once deliver returns; otherwise a caller-owned Result. It
+// returns the first error — deliver's, the context's or a device's —
+// with the device a device error stands for (0 otherwise), once every
+// worker has exited.
+func (s *Session) fleet(ctx context.Context, lo, hi int, encode bool, deliver func(d int, m fleetMsg) error) (int, error) {
 	if lo == hi {
 		return 0, nil
 	}
@@ -415,14 +385,17 @@ func (s *Session) fleet(ctx context.Context, lo, hi int, lines *lineFree, delive
 		workers = runtime.GOMAXPROCS(0)
 	}
 	workers = min(workers, hi-lo)
-	// When the engine is a BatchEngine, workers claim whole bit-sliced
+	// When the engine has a batch path, workers claim whole bit-sliced
 	// batches instead of single devices: one schedule pass diagnoses up
-	// to BatchRunner.Lanes devices at once. Both paths yield
+	// to sram.BankLanes devices at once. Both paths yield
 	// byte-identical per-device results, so the claiming granularity
 	// never shows in the stream.
-	batcher, batched := s.engine.(BatchEngine)
+	batcher, batched := s.engine.(batchEngine)
 	batched = batched && !s.noBatch
 	step := 1
+	if batched {
+		step = sram.BankLanes
+	}
 	ws := make([]*fleetWorker, workers)
 	for i := range ws {
 		w, err := s.worker()
@@ -430,17 +403,12 @@ func (s *Session) fleet(ctx context.Context, lo, hi int, lines *lineFree, delive
 			return lo, err
 		}
 		ws[i] = w
-		if batched {
-			if w.runner == nil {
-				w.runner = batcher.NewBatchRunner()
-			}
-			step = w.runner.Lanes()
+		if batched && w.runner == nil {
+			w.runner = batcher.newBatchRunner(w.plan)
 		}
-	}
-	if lines != nil {
 		// A stream that keeps up has about one claim per worker waiting
 		// at a time: the ones that finished before the claim ahead.
-		lines.max = workers * step
+		w.lines.max = step
 	}
 	opt := s.eopt
 	opt.Trace = nil // trace is single-run only
@@ -454,12 +422,12 @@ func (s *Session) fleet(ctx context.Context, lo, hi int, lines *lineFree, delive
 	window := reorderWindow(workers)
 	free := make(chan *fleetClaim, window)
 	for range window {
-		free <- &fleetClaim{lines: lines}
+		free <- new(fleetClaim)
 	}
 	queue := make(chan *fleetClaim, window)
 	var claimMu sync.Mutex
 	next := lo
-	claim := func() (*fleetClaim, bool) {
+	claim := func(w *fleetWorker) (*fleetClaim, bool) {
 		// Sends to a claim never block, so a worker would otherwise
 		// keep its processor, and the stream it just woke would wait
 		// for a preemption while finished results pile up to the
@@ -477,7 +445,10 @@ func (s *Session) fleet(ctx context.Context, lo, hi int, lines *lineFree, delive
 			free <- c
 			return nil, false
 		}
-		c.lo, c.n = next, min(step, hi-next)
+		c.lo, c.n, c.lines = next, min(step, hi-next), nil
+		if encode {
+			c.lines = &w.lines
+		}
 		if cap(c.out) < c.n {
 			c.out = make(chan fleetMsg, step)
 		}
@@ -496,7 +467,7 @@ func (s *Session) fleet(ctx context.Context, lo, hi int, lines *lineFree, delive
 		cancel()
 		wg.Wait()
 		for _, w := range ws {
-			workerPool.Put(w)
+			putWorker(w)
 		}
 	}()
 	for _, w := range ws {
@@ -504,7 +475,7 @@ func (s *Session) fleet(ctx context.Context, lo, hi int, lines *lineFree, delive
 		go func() {
 			defer wg.Done()
 			for {
-				c, ok := claim()
+				c, ok := claim(w)
 				if !ok {
 					return
 				}
@@ -549,6 +520,9 @@ func (s *Session) fleet(ctx context.Context, lo, hi int, lines *lineFree, delive
 			if err := deliver(d, m); err != nil {
 				return 0, err
 			}
+			if m.line != nil {
+				c.lines.put(m.line)
+			}
 		}
 		free <- c
 	}
@@ -568,8 +542,8 @@ func reorderWindow(workers int) int { return 2 * workers }
 // fleetClaim is one worker claim in flight: devices [lo, lo+n) and the
 // channel their outcomes arrive on, in device order. out has room for
 // a whole claim, so a worker never blocks on delivery, and it is
-// recycled with the claim. A claim of an encoded stream carries its
-// stream's line buffers.
+// recycled with the claim. A claim of an encoded stream carries the
+// line buffers of the worker that took it.
 type fleetClaim struct {
 	lo, n int
 	lines *lineFree
@@ -586,15 +560,16 @@ type fleetMsg struct {
 	err  error
 }
 
-// lineFree is an encoded stream's free list of line buffers, the most
-// recently returned first: a worker takes one for each line it
-// encodes, and the stream returns it once the line is delivered. It
-// keeps at most max of them, so after a burst — the stream stalled and
-// the window filled up with lines — the surplus goes back to the
-// garbage collector. Idle buffers count as live heap, which the
-// collector lets grow to twice its size, so keeping a whole window's
-// worth would raise a served job's peak memory for the rest of the
-// stream.
+// lineFree is a fleet worker's free list of line buffers, the most
+// recently returned first: the worker takes one for each line it
+// encodes, and the stream returns it once the line is delivered. The
+// list stays with the worker, so the next stream starts on the buffers
+// the last one grew. It keeps at most max of them, so after a burst —
+// the stream stalled and the window filled up with lines — the surplus
+// goes back to the garbage collector. Idle buffers count as live heap,
+// which the collector lets grow to twice its size, so keeping a whole
+// window's worth would raise a served job's peak memory for the rest
+// of the stream.
 type lineFree struct {
 	mu   sync.Mutex
 	bufs [][]byte

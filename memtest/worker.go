@@ -3,6 +3,7 @@ package memtest
 import (
 	"context"
 	"reflect"
+	"runtime"
 	"slices"
 	"sync"
 
@@ -21,22 +22,58 @@ type fleetWorker struct {
 	engine Engine
 	b      *config.Builder
 	seeds  []int64     // per-memory derived-seed scratch
-	runner BatchRunner // the engine's, made by the first batched stream
+	runner batchRunner // the engine's, for plan, made by the first batched stream
 	// truth is the truth arena: truth[lane][i] is memory i's fault list
 	// for the batch's lane-th device, drawn in place batch after batch.
 	// A Result keeps only counts derived from the truth, never the
-	// lists. laneFleet is the one Fleet runBatch loads every lane from.
-	truth     [][][]fault.Fault
-	laneFleet Fleet
+	// lists.
+	truth [][][]fault.Fault
 	// lane is the Result each lane of a batch is evaluated into and
 	// sent from, copied or encoded; lineCap is the length of the last
 	// encoded line, the room asked for in the next line's buffer.
 	lane    Result
 	lineCap int
+	lines   lineFree // the buffers the worker's lines are encoded into
 }
 
-// workerPool holds the fleet workers no stream or single run is using.
-var workerPool sync.Pool
+// workerPool holds the fleet workers no stream or single run is using,
+// for the whole process: a stream finds the last worker returned for
+// its plan on any processor, where a sync.Pool would hide it in the
+// private slot of the processor that put it back and the stream would
+// build a new one. After each collection, old holds the workers idle at
+// it and those idle since the one before are dropped, so an idle
+// process's workers still go to the collector.
+var workerPool struct {
+	sync.Mutex
+	idle, old []*fleetWorker
+}
+
+func init() { sweepEachCycle() }
+
+// sweepEachCycle runs sweepWorkers after the next collection, whose
+// cleanup of an unreachable sentinel arms the one after.
+func sweepEachCycle() {
+	runtime.AddCleanup(new(struct{ _ *byte }), func(struct{}) {
+		sweepWorkers()
+		sweepEachCycle()
+	}, struct{}{})
+}
+
+// sweepWorkers drops the workers idle since the last sweep and keeps
+// the others until the next.
+func sweepWorkers() {
+	workerPool.Lock()
+	clear(workerPool.old)
+	workerPool.old, workerPool.idle = workerPool.idle, workerPool.old[:0]
+	workerPool.Unlock()
+}
+
+// putWorker returns w to workerPool.
+func putWorker(w *fleetWorker) {
+	workerPool.Lock()
+	workerPool.idle = append(workerPool.idle, w)
+	workerPool.Unlock()
+}
 
 // newFleetWorker allocates a worker for plan and engine e.
 func newFleetWorker(plan Plan, e Engine) (*fleetWorker, error) {
@@ -46,21 +83,27 @@ func newFleetWorker(plan Plan, e Engine) (*fleetWorker, error) {
 		return nil, err
 	}
 	return &fleetWorker{
-		plan:      plan,
-		engine:    e,
-		b:         b,
-		seeds:     make([]int64, len(plan.Memories)),
-		laneFleet: Fleet{plan: plan},
+		plan:   plan,
+		engine: e,
+		b:      b,
+		seeds:  make([]int64, len(plan.Memories)),
 	}, nil
 }
 
-// worker takes a pooled worker that fits s, or makes one; a pooled
-// worker that does not fit is dropped. Put it back in workerPool once
-// its stream or run has ended.
+// worker takes the most recently pooled worker that fits s, or makes
+// one. Return it with putWorker once its stream or run has ended.
 func (s *Session) worker() (*fleetWorker, error) {
-	if w, _ := workerPool.Get().(*fleetWorker); w != nil && w.fits(s) {
-		return w, nil
+	workerPool.Lock()
+	for _, l := range []*[]*fleetWorker{&workerPool.idle, &workerPool.old} {
+		for i := len(*l) - 1; i >= 0; i-- {
+			if w := (*l)[i]; w.fits(s) {
+				*l = slices.Delete(*l, i, i+1)
+				workerPool.Unlock()
+				return w, nil
+			}
+		}
 	}
+	workerPool.Unlock()
 	return newFleetWorker(s.plan, s.engine)
 }
 
@@ -120,25 +163,21 @@ func (w *fleetWorker) diagnose(ctx context.Context, opt EngineOptions, base int6
 	if err != nil {
 		return nil, nil, err
 	}
-	rep, err := w.engine.Run(ctx, &Fleet{plan: w.plan, mems: mems, truth: truth}, opt)
+	rep, err := w.engine.Run(ctx, &Fleet{plan: w.plan, mems: mems}, opt)
 	if err != nil {
 		return nil, nil, err
 	}
 	return truth, rep, nil
 }
 
-// keeper is a BatchRunner that can hand the caller the storage behind
-// its last batch's located cells and failure records, after which it
-// no longer reuses it (bisd.BankRunner.Keep).
-type keeper interface{ keep() }
-
 // runBatch diagnoses claim c's devices of s's fleet as one bit-sliced
 // batch on the worker's runner: each device's fault lists are drawn
 // into the truth arena (the same seeds and defect draw as the
-// per-device path, with no memory built) and loaded into its lane; one RunBatch pass then produces
-// every lane's report. Each lane is evaluated into the worker's one
-// reused Result and sent straight away, copied or encoded, so the
-// runner's reports and the Result are free again for the next lane.
+// per-device path, with no memory built) and loaded into its lane; one
+// run pass then produces every lane's report. Each lane is evaluated
+// into the worker's one reused Result and sent straight away, copied
+// or encoded, so the runner's reports and the Result are free again
+// for the next lane.
 // Outcomes go out in ascending device order, so an error stands in
 // for the device it belongs to; on a draw/load error — including a
 // device with an unbankable fault, which the batch path refuses
@@ -151,15 +190,13 @@ func (w *fleetWorker) runBatch(ctx context.Context, s *Session, opt EngineOption
 	if len(w.truth) < size {
 		w.truth = w.truthArena(size)
 	}
-	br := w.runner
 	loaded := 0
 	var loadErr error
 	for ; loaded < size; loaded++ {
 		truth := w.truth[loaded]
 		err := w.b.Draw(w.deriveSeeds(deviceSeed(s.seed, d0+loaded)), truth)
 		if err == nil {
-			w.laneFleet.truth = truth
-			err = br.Load(loaded, &w.laneFleet)
+			err = w.runner.load(loaded, truth)
 		}
 		if err != nil {
 			loadErr = err
@@ -167,7 +204,7 @@ func (w *fleetWorker) runBatch(ctx context.Context, s *Session, opt EngineOption
 		}
 	}
 	if loaded > 0 {
-		reports, err := br.RunBatch(ctx, loaded, opt)
+		reports, err := w.runner.run(ctx, loaded, opt)
 		if err != nil {
 			// A batch-level failure (cancellation, bad test) aborts every
 			// lane; attribute it to the batch's first device.
@@ -175,11 +212,11 @@ func (w *fleetWorker) runBatch(ctx context.Context, s *Session, opt EngineOption
 			return false
 		}
 		// Results handed to the caller outlive the batch, whose reports
-		// the runner may reuse. A runner that can give up its record
-		// storage does, once the lanes are copied, and the copies share
-		// it; any other runner's records are copied.
-		k, keeps := br.(keeper)
-		keeps = keeps && c.lines == nil
+		// the runner reuses: each lane's Result is cloned, and once all
+		// are, the runner gives its record storage up to the clones.
+		// The claim is the stream's to reuse once its last lane is sent,
+		// so what it carries is read first.
+		copies := c.lines == nil
 		for l := 0; l < loaded; l++ {
 			d := d0 + l
 			if s.observe != nil {
@@ -187,15 +224,15 @@ func (w *fleetWorker) runBatch(ctx context.Context, s *Session, opt EngineOption
 			}
 			s.fillResult(&w.lane, w.truth[l], reports[l])
 			res := &w.lane
-			if c.lines == nil {
-				res = res.clone(!keeps)
+			if copies {
+				res = res.clone()
 			}
 			if !w.send(s, c, d, res) {
 				return false
 			}
 		}
-		if keeps {
-			k.keep()
+		if copies {
+			w.runner.keep()
 		}
 	}
 	if loadErr != nil {
@@ -207,9 +244,9 @@ func (w *fleetWorker) runBatch(ctx context.Context, s *Session, opt EngineOption
 
 // send hands device d's finished result to s's stream through claim c:
 // res itself, which must then be the caller's to keep, or, for an
-// encoded stream, its line, encoded into one of the stream's line
-// buffers with room for the worker's last line. It reports false,
-// having sent the error instead, when the result cannot be encoded.
+// encoded stream, its line, encoded into one of the worker's line
+// buffers with room for its last line. It reports false, having sent
+// the error instead, when the result cannot be encoded.
 func (w *fleetWorker) send(s *Session, c *fleetClaim, d int, res *Result) bool {
 	if c.lines == nil {
 		c.out <- fleetMsg{res: res}

@@ -7,6 +7,7 @@ import (
 	"runtime"
 	"slices"
 	"testing"
+	"time"
 
 	"repro/internal/march"
 )
@@ -23,8 +24,8 @@ import (
 // delivery hazard, a weak-write March override) and one and two
 // workers, on ranges that straddle a batch. Consecutive streams of a
 // plan run on the workers the last one returned, under other options;
-// a change of plan drops them, and each plan and worker count starts
-// with a stream cancelled under its workers. Every stream must equal
+// a change of plan leaves them idle, and each plan and worker count
+// starts with a stream cancelled under its workers. Every stream must equal
 // the per-device reference, whose path keeps no bank state at all.
 // Only the small diff plan runs the last two option sets: on hetero
 // they made this test a minute long under the race detector, and at
@@ -102,8 +103,8 @@ func TestPooledWorkersKeepTheirEngine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := &countingBatchEngine{BatchEngine: inner.(BatchEngine)}
-	b := &countingBatchEngine{BatchEngine: inner.(BatchEngine)}
+	a := &countingBatchEngine{batchEngine: inner.(batchEngine)}
+	b := &countingBatchEngine{batchEngine: inner.(batchEngine)}
 	if a.Name() != inner.Name() || b.Name() != inner.Name() {
 		t.Fatalf("wrapper names %q and %q, want both %q", a.Name(), b.Name(), inner.Name())
 	}
@@ -167,12 +168,14 @@ func TestPooledWorkersKeepTheirPlan(t *testing.T) {
 // TestFleetWorkersOutliveTheirStream pins the point of the pool: a
 // repeat 1,024-device hetero stream at one worker starts on the worker
 // the last stream returned, so it allocates a fraction of what a cold
-// stream (a plan no pooled worker fits) does: the least of eight
-// measured 42-56 allocations and 190-350 KB warm against 391-447 and
-// 1.93-2.54 MB cold, and 28-31 and 43-68 KB against 416-422 and
-// 2.47 MB under the race detector. sync.Pool drops a quarter of its Puts under the race
-// detector and empties over two collections, so the bounds hold for
-// the least of eight repeats, never for one stream.
+// stream (a plan no pooled worker fits) does. The worker brings the
+// line buffers the last stream grew, so a warm stream encodes every
+// line into a kept buffer: the least of eight measured 21-22
+// allocations and 7-21 KB warm against 376-389 and 1.88-2.01 MB cold,
+// and 21 and 7 KB against 399-402 and 2.41-2.43 MB under the race
+// detector. The pool drops a worker left idle through two
+// collections, so the bounds are checked on the least of eight
+// repeats, not on one stream.
 func TestFleetWorkersOutliveTheirStream(t *testing.T) {
 	const devices, repeats = 1024, 8
 	stream := func(s *Session) (allocs, bytes uint64) {
@@ -202,7 +205,10 @@ func TestFleetWorkersOutliveTheirStream(t *testing.T) {
 		}
 		return allocs, bytes
 	}
-	coldAllocs, coldBytes := least(func(r int) *Session { return session(fmt.Sprintf("cold-%d", r)) })
+	// The cold plans' names are new to the process, so no idle worker
+	// fits them even when the test runs again.
+	epoch := time.Now().UnixNano()
+	coldAllocs, coldBytes := least(func(r int) *Session { return session(fmt.Sprintf("cold-%d-%d", epoch, r)) })
 	warm := session("warm")
 	stream(warm)
 	warmAllocs, warmBytes := least(func(int) *Session { return warm })
@@ -211,5 +217,54 @@ func TestFleetWorkersOutliveTheirStream(t *testing.T) {
 	if warmAllocs*4 > coldAllocs || warmBytes*3 > coldBytes {
 		t.Fatalf("a repeat stream allocates %d times and %d B, a cold one %d and %d B: want at most a quarter of the allocations and a third of the bytes",
 			warmAllocs, warmBytes, coldAllocs, coldBytes)
+	}
+	if warmBytes*50 > coldBytes {
+		t.Fatalf("a repeat stream allocates %d B, a cold one %d B: want at most a fiftieth, as its line buffers come with the worker",
+			warmBytes, coldBytes)
+	}
+}
+
+// TestIdleWorkersAgeOut pins workerPool's life cycle: a returned worker
+// is the next one a stream of its plan takes, after one sweep too,
+// while two sweeps drop it; and the sweeps run on their own after
+// collections, so an idle process's workers go to the collector.
+func TestIdleWorkersAgeOut(t *testing.T) {
+	plan := HeterogeneousExample()
+	plan.Name = "idle-workers-age-out"
+	s, err := New(plan, WithWorkers(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	take := func() *fleetWorker {
+		w, err := s.worker()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return w
+	}
+	w := take()
+	putWorker(w)
+	sweepWorkers()
+	if take() != w {
+		t.Fatal("a worker idle through one sweep was not reused")
+	}
+	putWorker(w)
+	sweepWorkers()
+	sweepWorkers()
+	if take() == w {
+		t.Fatal("a worker idle through two sweeps was reused")
+	}
+	putWorker(w)
+	pooled := func() bool {
+		workerPool.Lock()
+		defer workerPool.Unlock()
+		return slices.Contains(workerPool.idle, w) || slices.Contains(workerPool.old, w)
+	}
+	for deadline := time.Now().Add(10 * time.Second); pooled(); {
+		if time.Now().After(deadline) {
+			t.Fatal("a worker idle through collections for 10 s is still pooled")
+		}
+		runtime.GC()
+		time.Sleep(time.Millisecond)
 	}
 }

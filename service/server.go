@@ -230,13 +230,17 @@ func (s *Server) handleResults(w http.ResponseWriter, r *http.Request) {
 
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
+	// Send the headers now: a reader of a queued or slow job would
+	// otherwise wait for them until its first line is flushed. A reader
+	// already gone fails the first flush below too.
+	rc := http.NewResponseController(w)
+	rc.Flush() //nolint:errcheck
 	bw := streamWriters.Get().(*bufio.Writer)
 	bw.Reset(w)
 	defer func() {
 		bw.Reset(nil)
 		streamWriters.Put(bw)
 	}()
-	rc := http.NewResponseController(w)
 	emit := func(line []byte) error {
 		bw.Write(line) //nolint:errcheck // a failed write sticks to bw and surfaces at WriteByte
 		return bw.WriteByte('\n')

@@ -245,8 +245,7 @@ func TestCaughtUpFollowerSeesEachLine(t *testing.T) {
 	// On failure, free the blocked engine before the server closes.
 	t.Cleanup(func() { m.Cancel(st.ID) })
 	e.awaitStart(t)
-	// The response headers leave with the first flushed line, so the
-	// reader connects in the background.
+	// The reader runs in the background while the devices are released.
 	lines := make(chan string)
 	go func() {
 		defer close(lines)
@@ -276,6 +275,46 @@ func TestCaughtUpFollowerSeesEachLine(t *testing.T) {
 	}
 	if line, ok := <-lines; ok {
 		t.Fatalf("stream continued past the job's end: %q", line)
+	}
+}
+
+// TestResultsHeadersBeforeFirstLine: a results request for a job that
+// has not finished device 0 gets its 200 and headers straight away, so
+// a client with ResponseHeaderTimeout can read a healthy slow job; the
+// lines follow once the devices finish.
+func TestResultsHeadersBeforeFirstLine(t *testing.T) {
+	_, m, ts := newTestServer(t, service.Config{Jobs: 1, Queue: 4})
+	e := newBlockEngine(t, "block-headers")
+	st, err := m.Submit(service.JobRequest{Plan: testPlan(), Devices: 3, Workers: 1, Scheme: e.name})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// On failure, free the blocked engine before the server closes.
+	t.Cleanup(func() { m.Cancel(st.ID) })
+	e.awaitStart(t)
+	tr := ts.Client().Transport.(*http.Transport).Clone()
+	tr.ResponseHeaderTimeout = time.Second
+	defer tr.CloseIdleConnections()
+	resp, err := (&http.Client{Transport: tr}).Get(ts.URL + "/v1/jobs/" + st.ID + "/results")
+	if err != nil {
+		t.Fatalf("results request before device 0 finished: %v", err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d, want 200", resp.StatusCode)
+	}
+	for range 3 {
+		e.release <- struct{}{}
+	}
+	sc := bufio.NewScanner(resp.Body)
+	n := 0
+	for ; sc.Scan(); n++ {
+		if !strings.HasPrefix(sc.Text(), `{"device":`) {
+			t.Fatalf("line %d = %q, want a device result", n, sc.Text())
+		}
+	}
+	if err := sc.Err(); err != nil || n != 3 {
+		t.Fatalf("read %d lines (%v), want 3", n, err)
 	}
 }
 
